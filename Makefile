@@ -11,7 +11,7 @@ GOLDEN_DIR := internal/analysis/testdata/golden
 PERF_GOLDEN_DIR := $(GOLDEN_DIR)/perf
 GRAPH_PKGS := ./internal/amr/app ./internal/hydro
 
-.PHONY: test vet fmt-check lint graph golden perf sanitize chaos race transport check bench
+.PHONY: test vet fmt-check lint graph golden perf sanitize chaos race transport bench-test check bench
 
 test:
 	$(GO) build ./...
@@ -84,7 +84,15 @@ transport:
 	$(GO) test -race -run 'Conformance|Fuzz|ReadFrame|Equivalence' ./internal/wire ./internal/mpi
 	$(GO) test -race -run 'CrossProcess|MultiProc' ./internal/harness
 
-check: vet fmt-check lint test perf sanitize chaos race transport
+# bench-test: the benchmark is a module of its own (bench/go.mod), so the
+# root `go test ./...` does not see it. Its unit tests and 4 s smoke run of
+# the whole runner compile against the public API of internal/task, tampi,
+# mpi and the harness: an API break surfaces here, not in the benchmark
+# driver.
+bench-test:
+	cd bench && $(GO) test ./...
+
+check: vet fmt-check lint test perf sanitize chaos race transport bench-test
 
 # Performance trajectory: the allocation benchmarks of the pooled message
 # path plus end-to-end driver runs of both applications, recorded as one

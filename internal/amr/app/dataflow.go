@@ -105,11 +105,23 @@ type dataFlowDriver struct {
 	// scratch buffers and the sanitizer/trace plumbing.
 	g *driver.GraphEngine
 
+	// unpacks is communicate's list of pending unpack tasks, kept for its
+	// storage.
+	unpacks []unpackJob
+
 	// Delayed-checksum state: two parities of per-block sum slots.
 	parity     int
 	slots      [2]map[mesh.Coord][]float64
 	slotBlocks [2][]mesh.Coord
 	pending    [2]bool
+}
+
+// unpackJob is one received transfer waiting for its unpack task: the
+// section of the receive buffer it reads and that section's boxed key.
+type unpackJob struct {
+	tr  comm.Transfer
+	sec []float64
+	key any
 }
 
 // dirKey folds the direction into buffer keys, or collapses all directions
@@ -152,12 +164,7 @@ func (d *dataFlowDriver) communicate(g0, g1 int) error {
 		// must depend solely on the previous stage's stencil, never on
 		// this stage's arrivals, or two ranks exchanging faces would wait
 		// on each other (Algorithm 3 orders the phases the same way).
-		type unpackJob struct {
-			tr  comm.Transfer
-			sec []float64
-			key sectKey
-		}
-		var unpacks []unpackJob
+		unpacks := d.unpacks[:0]
 
 		// Receives: one task per incoming message; its completion is
 		// bound to the MPI request, so unpackers run only once the
@@ -166,9 +173,15 @@ func (d *dataFlowDriver) communicate(g0, g1 int) error {
 			pl := &s.recvPlans[dir][pi]
 			peer, mi, msg, tag := pl.peer, pl.mi, pl.msg, pl.tag
 			buf := s.recvBufs[dir].Buf(pi)[:pl.cells*gv]
-			secs := make([]any, len(msg))
-			for i := range msg {
-				secs[i] = sectKey{dirKey: dk, peer: peer, msg: mi, idx: i}
+			// A message's section keys are the same at every stage of
+			// the epoch: box them once, on first use of the plan.
+			secs := pl.secs
+			if secs == nil {
+				secs = make([]any, len(msg))
+				for i := range msg {
+					secs[i] = sectKey{dirKey: dk, peer: peer, msg: mi, idx: i}
+				}
+				pl.secs = secs
 			}
 			d.g.Spawn("recv", func(t *task.Task) {
 				for _, k := range secs {
@@ -190,14 +203,14 @@ func (d *dataFlowDriver) communicate(g0, g1 int) error {
 				}
 				d.g.RecordInFlight(t, "recv-wait", req)
 				d.g.X.Iwait(t, req)
-			}, task.Out(secs...)...)
+			}, d.g.Out(secs...)...)
 
 			off := 0
 			for i, tr := range msg {
 				sec := buf[off : off+tr.Len(gv)]
 				off += tr.Len(gv)
 				d.g.BindSection(secs[i], sec)
-				unpacks = append(unpacks, unpackJob{tr: tr, sec: sec, key: secs[i].(sectKey)})
+				unpacks = append(unpacks, unpackJob{tr: tr, sec: sec, key: secs[i]})
 			}
 		}
 
@@ -212,25 +225,31 @@ func (d *dataFlowDriver) communicate(g0, g1 int) error {
 			peer, mi, msg, tag := pl.peer, pl.mi, pl.msg, pl.tag
 			lease := s.arena.LeaseFloat64(pl.cells * gv)
 			buf := lease.Float64()
-			secs := make([]any, len(msg))
-			for i := range msg {
-				secs[i] = sectKey{dirKey: dk, peer: peer, msg: mi, send: true, idx: i}
+			secs := pl.secs
+			if secs == nil {
+				secs = make([]any, len(msg))
+				for i := range msg {
+					secs[i] = sectKey{dirKey: dk, peer: peer, msg: mi, send: true, idx: i}
+				}
+				pl.secs = secs
 			}
 			off := 0
 			for i, tr := range msg {
-				tr := tr
 				sec := buf[off : off+tr.Len(gv)]
 				off += tr.Len(gv)
 				secKey := secs[i]
+				// Struct keys are boxed once and shared between the
+				// access list and the sanitizer notes.
+				src := any(blockKey{c: tr.Src, g: gi})
 				d.g.Spawn("pack", func(t *task.Task) {
-					d.g.NoteRead(t, blockKey{c: tr.Src, g: gi})
+					d.g.NoteRead(t, src)
 					d.g.NoteWrite(t, secKey)
 					s.rec.Span(s.rank, t.Worker(), "pack", func() {
 						comm.Pack(tr, s.data[tr.Src], g0, g1, sec)
 					})
-				}, task.Merge(
-					task.In(blockKey{c: tr.Src, g: gi}),
-					task.Out(secKey),
+				}, d.g.Merge(
+					d.g.In(src),
+					d.g.Out(secKey),
 				)...)
 			}
 			d.g.Spawn("send", func(t *task.Task) {
@@ -251,49 +270,48 @@ func (d *dataFlowDriver) communicate(g0, g1 int) error {
 				}
 				d.g.RecordInFlight(t, "send-wait", req)
 				d.g.X.Iwait(t, req)
-			}, task.In(secs...)...)
+			}, d.g.In(secs...)...)
 		}
 
 		// Intra-process exchanges: local copy tasks between neighbouring
 		// blocks of this rank.
 		for _, tr := range sched.Local {
-			tr := tr
+			src, dst := any(blockKey{c: tr.Src, g: gi}), any(blockKey{c: tr.Recv, g: gi})
 			d.g.Spawn("local-copy", func(t *task.Task) {
-				d.g.NoteRead(t, blockKey{c: tr.Src, g: gi})
-				d.g.NoteWrite(t, blockKey{c: tr.Recv, g: gi})
+				d.g.NoteRead(t, src)
+				d.g.NoteWrite(t, dst)
 				s.rec.Span(s.rank, t.Worker(), "local-copy", func() {
 					comm.ExecuteLocal(tr, s.data[tr.Src], s.data[tr.Recv], g0, g1, d.g.Scratch(t.Worker()))
 				})
-			}, task.Merge(
-				task.In(blockKey{c: tr.Src, g: gi}),
-				task.InOut(blockKey{c: tr.Recv, g: gi}),
+			}, d.g.Merge(
+				d.g.In(src),
+				d.g.InOut(dst),
 			)...)
 		}
 		for _, bf := range sched.Boundary {
-			bf := bf
-			dir := dir
+			blk := any(blockKey{c: bf.Block, g: gi})
 			d.g.Spawn("boundary", func(t *task.Task) {
-				d.g.NoteWrite(t, blockKey{c: bf.Block, g: gi})
+				d.g.NoteWrite(t, blk)
 				s.data[bf.Block].ApplyDomainBoundary(dir, bf.Side, g0, g1)
-			}, task.InOut(blockKey{c: bf.Block, g: gi})...)
+			}, d.g.InOut(blk)...)
 		}
 
 		// Unpackers: consume the receive's buffer sections into block
 		// ghosts once the bound requests complete.
 		for _, uj := range unpacks {
-			tr, sec := uj.tr, uj.sec
-			key := uj.key
+			dst := any(blockKey{c: uj.tr.Recv, g: gi})
 			d.g.Spawn("unpack", func(t *task.Task) {
-				d.g.NoteRead(t, key)
-				d.g.NoteWrite(t, blockKey{c: tr.Recv, g: gi})
+				d.g.NoteRead(t, uj.key)
+				d.g.NoteWrite(t, dst)
 				s.rec.Span(s.rank, t.Worker(), "unpack", func() {
-					comm.Unpack(tr, s.data[tr.Recv], g0, g1, sec)
+					comm.Unpack(uj.tr, s.data[uj.tr.Recv], g0, g1, uj.sec)
 				})
-			}, task.Merge(
-				task.In(uj.key),
-				task.InOut(blockKey{c: tr.Recv, g: gi}),
+			}, d.g.Merge(
+				d.g.In(uj.key),
+				d.g.InOut(dst),
 			)...)
 		}
+		d.unpacks = unpacks
 	}
 	return d.g.X.Err()
 }
@@ -307,12 +325,12 @@ func (d *dataFlowDriver) stencil(g0, g1 int) error {
 	s := d.s
 	gi := d.groupIndex(g0)
 	for _, bc := range s.owned() {
-		bc := bc
 		blk := s.data[bc]
+		key := any(blockKey{c: bc, g: gi})
 		d.g.Spawn("stencil", func(t *task.Task) {
-			d.g.NoteWrite(t, blockKey{c: bc, g: gi})
+			d.g.NoteWrite(t, key)
 			s.rec.Span(s.rank, t.Worker(), "stencil", func() { s.runStencil(blk, g0, g1) })
-		}, task.InOut(blockKey{c: bc, g: gi})...)
+		}, d.g.InOut(key)...)
 		s.flops += s.stencilFlops(blk, g0, g1)
 	}
 	return nil
@@ -341,16 +359,16 @@ func (d *dataFlowDriver) checksum() error {
 		for gi := range groups {
 			deps = append(deps, blockKey{c: bc, g: gi})
 		}
-		bc := bc
+		sum := any(slotKey{c: bc, parity: par})
 		d.g.Spawn("cksum-local", func(t *task.Task) {
 			for _, dep := range deps {
 				d.g.NoteRead(t, dep)
 			}
-			d.g.NoteWrite(t, slotKey{c: bc, parity: par})
+			d.g.NoteWrite(t, sum)
 			s.rec.Span(s.rank, t.Worker(), "cksum-local", func() {
 				blk.Checksum(0, s.cfg.Vars, slot)
 			})
-		}, task.Merge(task.In(deps...), task.Out(slotKey{c: bc, parity: par}))...)
+		}, d.g.Merge(d.g.In(deps...), d.g.Out(sum))...)
 	}
 	d.pending[par] = true
 
@@ -517,17 +535,17 @@ func (m *taskMover) sendBlock(bc mesh.Coord, blk *grid.Data, to, tag int) {
 	d := m.d
 	s := d.s
 	lease := s.arena.LeaseFloat64(blk.InteriorLen())
-	key := xferKey{tag: tag}
+	key := any(xferKey{tag: tag})
 	d.g.Spawn("exchange-pack", func(t *task.Task) {
 		d.g.NoteWrite(t, key)
 		s.rec.Span(s.rank, t.Worker(), "exchange-pack", func() { blk.PackInterior(lease.Float64()) })
-	}, task.Out(key)...)
+	}, d.g.Out(key)...)
 	d.g.Spawn("exchange-send", func(t *task.Task) {
 		d.g.NoteRead(t, key)
 		if err := d.g.X.IsendOwned(t, lease, to, tag); err != nil {
 			panic(err)
 		}
-	}, task.In(key)...)
+	}, d.g.In(key)...)
 }
 
 //amr:graph driver=dataflow phase=exchange-recv seq=7
@@ -538,18 +556,18 @@ func (m *taskMover) recvBlock(bc mesh.Coord, from, tag int) *grid.Data {
 	s := d.s
 	blk := s.newBlockData(bc, false)
 	buf := s.arena.GetFloat64(blk.InteriorLen())
-	key := xferKey{tag: tag, recv: true}
+	key := any(xferKey{tag: tag, recv: true})
 	d.g.Spawn("exchange-recv", func(t *task.Task) {
 		d.g.NoteWrite(t, key)
 		if err := d.g.X.Irecv(t, buf, from, tag); err != nil {
 			panic(err)
 		}
-	}, task.Out(key)...)
+	}, d.g.Out(key)...)
 	d.g.Spawn("exchange-unpack", func(t *task.Task) {
 		d.g.NoteRead(t, key)
 		s.rec.Span(s.rank, t.Worker(), "exchange-unpack", func() { blk.UnpackInterior(buf) })
 		s.arena.PutFloat64(buf)
-	}, task.In(key)...)
+	}, d.g.In(key)...)
 	return blk
 }
 

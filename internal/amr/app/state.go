@@ -65,6 +65,9 @@ type commPlan struct {
 	tag   int
 	cells int
 	msg   []comm.Transfer
+	// secs caches the data-flow driver's boxed dependency keys of the
+	// message's buffer sections, one per transfer, filled on first use.
+	secs []any
 }
 
 // MeshStat is a snapshot of the mesh shape after a refinement epoch; the

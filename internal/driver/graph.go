@@ -50,6 +50,7 @@ type GraphEngine struct {
 	rank      int
 	arena     *membuf.Arena
 	scratches [][]float64
+	accs      []task.Access // access list of the Spawn under construction
 }
 
 // NewGraphEngine builds the task runtime, binds the task-aware MPI
@@ -88,9 +89,45 @@ func NewGraphEngine(o GraphOptions) (*GraphEngine, error) {
 	return g, nil
 }
 
-// Spawn submits a task with the given dependency accesses.
+// Spawn submits a task with the given dependency accesses, and recycles
+// the lists In/Out/InOut/Merge built for it.
 func (g *GraphEngine) Spawn(label string, body func(*task.Task), accs ...task.Access) {
 	g.rt.Spawn(label, body, accs...)
+	g.accs = g.accs[:0]
+}
+
+// In, Out, InOut and Merge are task.In/Out/InOut/Merge building into one
+// buffer the engine reuses, so declaring a task's accesses allocates
+// nothing. The lists are valid until the engine's next Spawn, which does
+// not retain them; like Spawn they are for the rank's spawning goroutine
+// only. Keys of struct type are boxed by the caller: convert a key to any
+// once and pass the same value here and to NoteRead/NoteWrite.
+func (g *GraphEngine) In(keys ...any) []task.Access { return g.build(task.ModeIn, keys) }
+
+// Out is the write-access counterpart of In.
+func (g *GraphEngine) Out(keys ...any) []task.Access { return g.build(task.ModeOut, keys) }
+
+// InOut is the read-write counterpart of In.
+func (g *GraphEngine) InOut(keys ...any) []task.Access { return g.build(task.ModeInOut, keys) }
+
+//amr:hot allocs=0
+func (g *GraphEngine) build(m task.Mode, keys []any) []task.Access {
+	from := len(g.accs)
+	for _, k := range keys {
+		g.accs = append(g.accs, task.Access{Key: k, Mode: m})
+	}
+	return g.accs[from:]
+}
+
+// Merge concatenates access lists built by In, Out and InOut.
+//
+//amr:hot allocs=0
+func (g *GraphEngine) Merge(lists ...[]task.Access) []task.Access {
+	from := len(g.accs)
+	for _, l := range lists {
+		g.accs = append(g.accs, l...)
+	}
+	return g.accs[from:]
 }
 
 // Wait blocks until every spawned task completed (a global taskwait).

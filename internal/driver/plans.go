@@ -49,6 +49,9 @@ type Plan[S any] struct {
 	Tag   int
 	Cells int
 	Segs  []S
+	// Keys caches the data-flow variant's boxed dependency keys of the
+	// message's buffer sections, one per segment, filled on first use.
+	Keys []any
 }
 
 // Plans caches one direction's send and receive message plans together

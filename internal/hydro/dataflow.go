@@ -55,6 +55,17 @@ type dfDriver struct {
 	// g owns the task runtime, the task-aware MPI context, the per-worker
 	// scratch buffers and the sanitizer/trace plumbing.
 	g *driver.GraphEngine
+	// unpacks is Communicate's list of pending unpack tasks, kept for its
+	// storage.
+	unpacks []unpackJob
+}
+
+// unpackJob is one received segment waiting for its unpack task: the
+// section of the receive buffer it reads and that section's boxed key.
+type unpackJob struct {
+	sg  seg
+	sec []float64
+	key any
 }
 
 // dirKey folds the direction into buffer keys, or collapses both
@@ -79,16 +90,18 @@ func (d *dfDriver) BeginStep(ts int) error {
 	waves := make([]float64, len(s.tiles))
 	keys := make([]any, len(s.tiles))
 	for i, t := range s.tiles {
-		i, t := i, t
 		u := s.data[t]
-		keys[i] = waveKey{t: t}
+		// Struct keys are boxed once and shared between the access list,
+		// the taskwait and the sanitizer notes.
+		tile, wave := any(tileKey{t: t}), any(waveKey{t: t})
+		keys[i] = wave
 		d.g.Spawn("cfl-scan", func(tk *task.Task) {
-			d.g.NoteRead(tk, tileKey{t: t})
-			d.g.NoteWrite(tk, waveKey{t: t})
+			d.g.NoteRead(tk, tile)
+			d.g.NoteWrite(tk, wave)
 			s.rec.Span(s.rank, tk.Worker(), "cfl-scan", func() {
 				waves[i] = s.maxWave(u)
 			})
-		}, task.Merge(task.In(tileKey{t: t}), task.Out(waveKey{t: t}))...)
+		}, d.g.Merge(d.g.In(tile), d.g.Out(wave))...)
 		s.flops += s.waveFlops()
 	}
 	d.g.WaitKeys(keys...)
@@ -129,12 +142,7 @@ func (d *dfDriver) Communicate(stage, g0, g1 int) error {
 	// must depend solely on the previous stage's sweeps, never on this
 	// stage's arrivals, or two ranks exchanging edges would wait on each
 	// other.
-	type unpackJob struct {
-		sg  seg
-		sec []float64
-		key sectKey
-	}
-	var unpacks []unpackJob
+	unpacks := d.unpacks[:0]
 
 	// Receives: one task per incoming message; its completion is bound
 	// to the MPI request, so unpackers run only once the data arrived.
@@ -142,9 +150,15 @@ func (d *dfDriver) Communicate(stage, g0, g1 int) error {
 		pl := &s.plans[dir].RecvPlans[pi]
 		peer, tag, segs := pl.Peer, pl.Tag, pl.Segs
 		buf := s.plans[dir].RecvBuf(pi)[:pl.Cells*gv]
-		secs := make([]any, len(segs))
-		for i := range segs {
-			secs[i] = sectKey{dirKey: dk, peer: peer, idx: i}
+		// A message's section keys are the same at every stage: box them
+		// once, on first use of the plan.
+		secs := pl.Keys
+		if secs == nil {
+			secs = make([]any, len(segs))
+			for i := range segs {
+				secs[i] = sectKey{dirKey: dk, peer: peer, idx: i}
+			}
+			pl.Keys = secs
 		}
 		d.g.Spawn("recv", func(t *task.Task) {
 			for _, k := range secs {
@@ -166,12 +180,12 @@ func (d *dfDriver) Communicate(stage, g0, g1 int) error {
 			}
 			d.g.RecordInFlight(t, "recv-wait", req)
 			d.g.X.Iwait(t, req)
-		}, task.Out(secs...)...)
+		}, d.g.Out(secs...)...)
 
 		for i, sg := range segs {
 			sec := s.segBuf(dir, buf, i)
 			d.g.BindSection(secs[i], sec)
-			unpacks = append(unpacks, unpackJob{sg: sg, sec: sec, key: secs[i].(sectKey)})
+			unpacks = append(unpacks, unpackJob{sg: sg, sec: sec, key: secs[i]})
 		}
 	}
 
@@ -184,23 +198,27 @@ func (d *dfDriver) Communicate(stage, g0, g1 int) error {
 		peer, tag, segs := pl.Peer, pl.Tag, pl.Segs
 		lease := s.arena.LeaseFloat64(pl.Cells * gv)
 		buf := lease.Float64()
-		secs := make([]any, len(segs))
-		for i := range segs {
-			secs[i] = sectKey{dirKey: dk, peer: peer, send: true, idx: i}
+		secs := pl.Keys
+		if secs == nil {
+			secs = make([]any, len(segs))
+			for i := range segs {
+				secs[i] = sectKey{dirKey: dk, peer: peer, send: true, idx: i}
+			}
+			pl.Keys = secs
 		}
 		for i, sg := range segs {
-			sg := sg
 			sec := s.segBuf(dir, buf, i)
 			secKey := secs[i]
+			tile := any(tileKey{t: sg.Tile})
 			d.g.Spawn("pack", func(t *task.Task) {
-				d.g.NoteRead(t, tileKey{t: sg.Tile})
+				d.g.NoteRead(t, tile)
 				d.g.NoteWrite(t, secKey)
 				s.rec.Span(s.rank, t.Worker(), "pack", func() {
 					s.packSeg(dir, sg, sec)
 				})
-			}, task.Merge(
-				task.In(tileKey{t: sg.Tile}),
-				task.Out(secKey),
+			}, d.g.Merge(
+				d.g.In(tile),
+				d.g.Out(secKey),
 			)...)
 		}
 		d.g.Spawn("send", func(t *task.Task) {
@@ -221,39 +239,40 @@ func (d *dfDriver) Communicate(stage, g0, g1 int) error {
 			}
 			d.g.RecordInFlight(t, "send-wait", req)
 			d.g.X.Iwait(t, req)
-		}, task.In(secs...)...)
+		}, d.g.In(secs...)...)
 	}
 
 	// Same-rank copies: edge exchange tasks between neighbouring tiles.
 	for _, lc := range s.locals[dir] {
-		lc := lc
+		src, dst := any(tileKey{t: lc.src}), any(tileKey{t: lc.dst})
 		d.g.Spawn("local-copy", func(t *task.Task) {
-			d.g.NoteRead(t, tileKey{t: lc.src})
-			d.g.NoteWrite(t, tileKey{t: lc.dst})
+			d.g.NoteRead(t, src)
+			d.g.NoteWrite(t, dst)
 			s.rec.Span(s.rank, t.Worker(), "local-copy", func() {
 				s.copyLocal(dir, lc)
 			})
-		}, task.Merge(
-			task.In(tileKey{t: lc.src}),
-			task.InOut(tileKey{t: lc.dst}),
+		}, d.g.Merge(
+			d.g.In(src),
+			d.g.InOut(dst),
 		)...)
 	}
 
 	// Unpackers: consume the receive's buffer sections into tile ghosts
 	// once the bound requests complete.
 	for _, uj := range unpacks {
-		uj := uj
+		tile := any(tileKey{t: uj.sg.Tile})
 		d.g.Spawn("unpack", func(t *task.Task) {
 			d.g.NoteRead(t, uj.key)
-			d.g.NoteWrite(t, tileKey{t: uj.sg.Tile})
+			d.g.NoteWrite(t, tile)
 			s.rec.Span(s.rank, t.Worker(), "unpack", func() {
 				s.unpackSeg(dir, uj.sg, uj.sec)
 			})
-		}, task.Merge(
-			task.In(uj.key),
-			task.InOut(tileKey{t: uj.sg.Tile}),
+		}, d.g.Merge(
+			d.g.In(uj.key),
+			d.g.InOut(tile),
 		)...)
 	}
+	d.unpacks = unpacks
 	return d.g.X.Err()
 }
 
@@ -266,14 +285,14 @@ func (d *dfDriver) Compute(stage, g0, g1 int) error {
 	s := d.s
 	dir := stage - 1
 	for _, t := range s.tiles {
-		t := t
 		u := s.data[t]
+		tile := any(tileKey{t: t})
 		d.g.Spawn("sweep", func(tk *task.Task) {
-			d.g.NoteWrite(tk, tileKey{t: t})
+			d.g.NoteWrite(tk, tile)
 			s.rec.Span(s.rank, tk.Worker(), "sweep", func() {
 				s.sweep(dir, u, d.g.Scratch(tk.Worker()))
 			})
-		}, task.InOut(tileKey{t: t})...)
+		}, d.g.InOut(tile)...)
 		s.flops += s.sweepFlops(dir)
 	}
 	return nil
@@ -290,18 +309,18 @@ func (d *dfDriver) Checksum(int) error {
 	perTile := make(map[int][]float64, len(s.tiles))
 	keys := make([]any, len(s.tiles))
 	for i, t := range s.tiles {
-		t := t
 		slot := s.arena.GetFloat64(hydroVars) // tileSums overwrites it
 		perTile[t] = slot
 		u := s.data[t]
-		keys[i] = sumKey{t: t}
+		tile, sum := any(tileKey{t: t}), any(sumKey{t: t})
+		keys[i] = sum
 		d.g.Spawn("cksum-local", func(tk *task.Task) {
-			d.g.NoteRead(tk, tileKey{t: t})
-			d.g.NoteWrite(tk, sumKey{t: t})
+			d.g.NoteRead(tk, tile)
+			d.g.NoteWrite(tk, sum)
 			s.rec.Span(s.rank, tk.Worker(), "cksum-local", func() {
 				s.tileSums(u, slot)
 			})
-		}, task.Merge(task.In(tileKey{t: t}), task.Out(sumKey{t: t}))...)
+		}, d.g.Merge(d.g.In(tile), d.g.Out(sum))...)
 	}
 	d.g.WaitKeys(keys...)
 	if err := d.g.X.Err(); err != nil {

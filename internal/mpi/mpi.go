@@ -10,8 +10,8 @@
 //     messages between a sender/receiver pair that match the same receive
 //     are matched in the order they were sent.
 //   - Non-blocking operations returning *Request, with Wait, Test, Waitany
-//     and Waitall, plus completion callbacks (the hook the Task-Aware MPI
-//     layer builds on).
+//     and Waitall, plus completion callbacks and bindings (Bind is the
+//     hook the Task-Aware MPI layer builds on).
 //   - Collectives (Barrier, Bcast, Reduce, Allreduce, Gather, Allgatherv)
 //     built over binomial trees in a reserved tag space.
 //   - MPI_THREAD_MULTIPLE-style thread safety for point-to-point calls:

@@ -18,7 +18,8 @@ type Request struct {
 	status    Status
 	err       error
 	callbacks []func()
-	ws        *WaitSet // at most one waitset owns an incomplete request
+	bound     Completion // at most one; notified after the callbacks
+	ws        *WaitSet   // at most one waitset owns an incomplete request
 	wsIdx     int
 
 	// Sanitizer identity, set at creation only while a Monitor is attached
@@ -26,6 +27,17 @@ type Request struct {
 	// fields stay zero and Wait takes its original path.
 	mon   Monitor
 	binfo BlockInfo
+}
+
+// Completion is the closure-free counterpart of OnComplete: a value bound
+// to a request is told when the request completes. It is what the
+// Task-Aware MPI layer binds a task's release to; one Completion may be
+// bound to many requests.
+type Completion interface {
+	// RequestDone runs once per bound request, on the completing goroutine
+	// (on Bind's caller if the request had already completed), after the
+	// request's OnComplete callbacks, with the operation's error.
+	RequestDone(err error)
 }
 
 var requestPool = sync.Pool{New: func() any { return new(Request) }}
@@ -45,8 +57,8 @@ func (r *Request) complete(st Status, err error) {
 	r.done = true
 	r.status = st
 	r.err = err
-	cbs := r.callbacks
-	r.callbacks = nil
+	cbs, bound := r.callbacks, r.bound
+	r.callbacks, r.bound = nil, nil
 	if r.doneCh != nil {
 		close(r.doneCh)
 	}
@@ -55,6 +67,9 @@ func (r *Request) complete(st Status, err error) {
 	r.mu.Unlock()
 	for _, cb := range cbs {
 		cb()
+	}
+	if bound != nil {
+		bound.RequestDone(err)
 	}
 	if ws != nil {
 		ws.deliver(wsIdx)
@@ -103,8 +118,8 @@ func (r *Request) abort(err error) {
 	}
 	r.done = true
 	r.err = err
-	cbs := r.callbacks
-	r.callbacks = nil
+	cbs, bound := r.callbacks, r.bound
+	r.callbacks, r.bound = nil, nil
 	if r.doneCh != nil {
 		close(r.doneCh)
 	}
@@ -113,6 +128,9 @@ func (r *Request) abort(err error) {
 	r.mu.Unlock()
 	for _, cb := range cbs {
 		cb()
+	}
+	if bound != nil {
+		bound.RequestDone(err)
 	}
 	if ws != nil {
 		ws.deliver(wsIdx)
@@ -146,7 +164,6 @@ func (r *Request) Done() <-chan struct{} {
 
 // OnComplete registers fn to run when the request completes. If the request
 // has already completed, fn runs immediately on the calling goroutine.
-// This is the primitive the Task-Aware MPI layer binds task completion to.
 func (r *Request) OnComplete(fn func()) {
 	r.mu.Lock()
 	if r.done {
@@ -155,6 +172,25 @@ func (r *Request) OnComplete(fn func()) {
 		return
 	}
 	r.callbacks = append(r.callbacks, fn)
+	r.mu.Unlock()
+}
+
+// Bind registers c to be notified when the request completes; a request
+// takes one binding. If the request has already completed, c is notified
+// immediately on the calling goroutine.
+func (r *Request) Bind(c Completion) {
+	r.mu.Lock()
+	if r.done {
+		err := r.err
+		r.mu.Unlock()
+		c.RequestDone(err)
+		return
+	}
+	if r.bound != nil {
+		r.mu.Unlock()
+		panic("mpi: request already bound")
+	}
+	r.bound = c
 	r.mu.Unlock()
 }
 

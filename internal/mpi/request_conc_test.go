@@ -83,9 +83,15 @@ func TestRequestOnCompleteVsCompletion(t *testing.T) {
 				r.OnComplete(func() { fired.Add(1) })
 			}()
 		}
-		go r.complete(Status{}, nil)
+		// complete runs the callbacks registered before it after publishing
+		// completion, so Wait alone does not order them: wait for complete
+		// itself to return.
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r.complete(Status{}, nil)
+		}()
 		wg.Wait()
-		_, _ = r.Wait() // completion observed; callbacks all delivered
 		if fired.Load() != cbs {
 			t.Fatalf("round %d: %d/%d callbacks fired", round, fired.Load(), cbs)
 		}
@@ -152,4 +158,54 @@ func TestChanMutexBalance(t *testing.T) {
 	if len(mu) != 0 {
 		t.Fatalf("released chanMutex has len %d, want 0", len(mu))
 	}
+}
+
+// doneLog records RequestDone notifications.
+type doneLog struct {
+	errs  []error
+	after *atomic.Int32 // callbacks that had fired when the notification ran
+	seen  []int32
+}
+
+func (d *doneLog) RequestDone(err error) {
+	d.errs = append(d.errs, err)
+	d.seen = append(d.seen, d.after.Load())
+}
+
+// TestRequestBind pins the closure-free completion binding: one
+// notification per bound request whichever of Bind and completion comes
+// first, delivered after the OnComplete callbacks, carrying the
+// operation's error; a second binding on one request is a bug.
+func TestRequestBind(t *testing.T) {
+	boom := errors.New("boom")
+	var fired atomic.Int32
+	log := &doneLog{after: &fired}
+
+	early := newRequest() // bound while in flight
+	early.OnComplete(func() { fired.Add(1) })
+	early.Bind(log)
+	if len(log.errs) != 0 {
+		t.Fatal("notified before completion")
+	}
+	early.complete(Status{}, boom)
+
+	late := newRequest() // bound after completion: notified on the spot
+	late.complete(Status{}, nil)
+	late.Bind(log)
+
+	if len(log.errs) != 2 || log.errs[0] != boom || log.errs[1] != nil {
+		t.Fatalf("notifications %v, want [boom <nil>]", log.errs)
+	}
+	if log.seen[0] != 1 {
+		t.Error("binding notified before the request's callbacks")
+	}
+
+	twice := newRequest()
+	twice.Bind(log)
+	defer func() {
+		if recover() == nil {
+			t.Error("second Bind on one request did not panic")
+		}
+	}()
+	twice.Bind(log)
 }

@@ -45,26 +45,32 @@ type Context struct {
 // New builds a task-aware context over a communicator.
 func New(c *mpi.Comm) *Context { return &Context{comm: c} }
 
-// suspend parks t until req completes, reporting the pause to an attached
-// transport monitor as a soft block: the rank's other tasks keep running,
-// so the pause is diagnostic context for deadlock reports, never a
-// deadlock-detection input. With no monitor attached this is exactly
-// t.Suspend(req.Done()).
-func (x *Context) suspend(t *task.Task, req *mpi.Request, op string, peer, tag int) {
-	mon := x.comm.World().Monitor()
-	if mon == nil {
-		t.Suspend(req.Done())
-		return
+// await finishes a blocking operation: unless starting it failed, it parks
+// t until req completes and returns the outcome. An attached transport
+// monitor sees the pause as a soft block: the rank's other tasks keep
+// running, so it is context for deadlock reports, never a detection input.
+func (x *Context) await(t *task.Task, req *mpi.Request, err error, op string, peer, tag int) (mpi.Status, error) {
+	if err != nil {
+		return mpi.Status{}, err
 	}
-	token := mon.BlockEnter(mpi.BlockInfo{
-		Rank: x.comm.Rank(), Peer: peer, Tag: tag, Op: op, Soft: true,
-	}, nil)
+	if mon := x.comm.World().Monitor(); mon != nil {
+		token := mon.BlockEnter(mpi.BlockInfo{
+			Rank: x.comm.Rank(), Peer: peer, Tag: tag, Op: op, Soft: true,
+		}, nil)
+		defer mon.BlockExit(token)
+	}
 	t.Suspend(req.Done())
-	mon.BlockExit(token)
+	return req.Wait()
 }
 
-// Comm returns the underlying communicator.
-func (x *Context) Comm() *mpi.Comm { return x.comm }
+// bind finishes a non-blocking operation: unless starting it failed, it
+// binds req's completion to t.
+func (x *Context) bind(t *task.Task, req *mpi.Request, err error) error {
+	if err == nil {
+		x.Iwait(t, req)
+	}
+	return err
+}
 
 // Err returns the first asynchronous error observed on a bound request, or
 // nil. Drivers call it at synchronisation points.
@@ -74,15 +80,24 @@ func (x *Context) Err() error {
 	return x.err
 }
 
-func (x *Context) record(err error) {
-	if err == nil {
-		return
+// binding ties the requests of one Iwait call to the calling task: each
+// completion records its error and consumes one of the task's events, the
+// last one putting the task's successors straight on the ready queue.
+type binding struct {
+	x *Context
+	t *task.Task
+}
+
+// RequestDone implements mpi.Completion.
+func (b *binding) RequestDone(err error) {
+	if x := b.x; err != nil {
+		x.mu.Lock()
+		if x.err == nil {
+			x.err = err
+		}
+		x.mu.Unlock()
 	}
-	x.mu.Lock()
-	if x.err == nil {
-		x.err = err
-	}
-	x.mu.Unlock()
+	b.t.CompleteEvent()
 }
 
 // Iwait binds the completion of the given requests to t: t will not
@@ -91,26 +106,17 @@ func (x *Context) record(err error) {
 //
 //amr:hot allocs=2
 func (x *Context) Iwait(t *task.Task, reqs ...*mpi.Request) {
-	live := 0
-	for _, r := range reqs {
-		if r != nil {
-			live++
-		}
-	}
-	if live == 0 {
+	if len(reqs) == 0 {
 		return
 	}
-	t.AddEvents(live)
+	t.AddEvents(len(reqs))
+	b := &binding{x: x, t: t}
 	for _, r := range reqs {
-		if r == nil {
-			continue
+		if r != nil {
+			r.Bind(b)
+		} else {
+			t.CompleteEvent() // a null request is complete
 		}
-		r := r
-		r.OnComplete(func() {
-			_, err := r.Wait() // already complete; fetch outcome
-			x.record(err)
-			t.CompleteEvent()
-		})
 	}
 }
 
@@ -122,11 +128,7 @@ func (x *Context) Iwait(t *task.Task, reqs ...*mpi.Request) {
 //amr:hot allocs=0
 func (x *Context) Isend(t *task.Task, buf any, dest, tag int) error {
 	req, err := x.comm.Isend(buf, dest, tag)
-	if err != nil {
-		return err
-	}
-	x.Iwait(t, req)
-	return nil
+	return x.bind(t, req, err)
 }
 
 // IsendOwned starts a non-blocking ownership-transfer send and binds it to
@@ -137,11 +139,7 @@ func (x *Context) Isend(t *task.Task, buf any, dest, tag int) error {
 //amr:hot allocs=0
 func (x *Context) IsendOwned(t *task.Task, pay *membuf.Lease, dest, tag int) error {
 	req, err := x.comm.IsendOwned(pay, dest, tag)
-	if err != nil {
-		return err
-	}
-	x.Iwait(t, req)
-	return nil
+	return x.bind(t, req, err)
 }
 
 // SendOwned performs a blocking ownership-transfer send from inside a
@@ -151,11 +149,7 @@ func (x *Context) IsendOwned(t *task.Task, pay *membuf.Lease, dest, tag int) err
 //amr:hot allocs=0
 func (x *Context) SendOwned(t *task.Task, pay *membuf.Lease, dest, tag int) error {
 	req, err := x.comm.IsendOwned(pay, dest, tag)
-	if err != nil {
-		return err
-	}
-	x.suspend(t, req, "tampi.SendOwned", dest, tag)
-	_, err = req.Wait()
+	_, err = x.await(t, req, err, "tampi.SendOwned", dest, tag)
 	return err
 }
 
@@ -166,11 +160,7 @@ func (x *Context) SendOwned(t *task.Task, pay *membuf.Lease, dest, tag int) erro
 //amr:hot allocs=0
 func (x *Context) Irecv(t *task.Task, buf any, source, tag int) error {
 	req, err := x.comm.Irecv(buf, source, tag)
-	if err != nil {
-		return err
-	}
-	x.Iwait(t, req)
-	return nil
+	return x.bind(t, req, err)
 }
 
 // Send performs a blocking send from inside a task: the task pauses until
@@ -179,11 +169,7 @@ func (x *Context) Irecv(t *task.Task, buf any, source, tag int) error {
 //amr:hot allocs=0
 func (x *Context) Send(t *task.Task, buf any, dest, tag int) error {
 	req, err := x.comm.Isend(buf, dest, tag)
-	if err != nil {
-		return err
-	}
-	x.suspend(t, req, "tampi.Send", dest, tag)
-	_, err = req.Wait()
+	_, err = x.await(t, req, err, "tampi.Send", dest, tag)
 	return err
 }
 
@@ -194,9 +180,5 @@ func (x *Context) Send(t *task.Task, buf any, dest, tag int) error {
 //amr:hot allocs=0
 func (x *Context) Recv(t *task.Task, buf any, source, tag int) (mpi.Status, error) {
 	req, err := x.comm.Irecv(buf, source, tag)
-	if err != nil {
-		return mpi.Status{}, err
-	}
-	x.suspend(t, req, "tampi.Recv", source, tag)
-	return req.Wait()
+	return x.await(t, req, err, "tampi.Recv", source, tag)
 }

@@ -2,146 +2,153 @@ package task
 
 import "sync/atomic"
 
-// node is the runtime's internal task record. A node with a non-nil waitCh
-// is a WaitAccess pseudo-task: it is never executed, only signalled when
-// its dependencies release.
-type node struct {
-	rt    *Runtime
-	label string
-	body  func(t *Task)
-	id    uint64 // spawn-ordered task id; 0 for WaitAccess pseudo-nodes
-
-	pending    int     // unsatisfied predecessor count; guarded by rt.mu
-	successors []*node // guarded by rt.mu
-	finished   bool    // guarded by rt.mu
+// Task is the runtime's record of one task and the handle passed to its
+// body. The handle is valid until the task has finished (body returned and
+// every bound event completed); then the record may be recycled for a later
+// Spawn. A WaitAccess pseudo-task is never executed: its caller is woken
+// when its dependencies release.
+type Task struct {
+	// Guarded by rt.mu, and first because other tasks' spawns and
+	// retirements touch exactly these: one cache line, not three.
+	pending   int32 // unsatisfied predecessor count
+	refs      int32 // mentions in the dependency map
+	finished  bool
+	suspended bool    // queued by Suspend, waiting for a worker to free a core
+	waiter    bool    // a WaitAccess pseudo-task
+	next      *Task   // ready-queue or free-list link
+	succs     []*Task // backed by inline until a fifth successor arrives
+	inline    [4]*Task
 
 	// events counts outstanding completion obligations: 1 for the body
 	// plus one per bound external event. The task finishes (releases its
-	// dependencies) when events reaches zero. Accessed atomically.
-	events int32
-
-	//amr:chan owner=finish
-	waitCh chan struct{} // non-nil only for WaitAccess pseudo-nodes
+	// dependencies) when events reaches zero.
+	events atomic.Int32
+	core   int    // virtual core executing the body
+	id     uint64 // spawn-ordered task id; 0 for WaitAccess pseudo-tasks
+	rt     *Runtime
+	body   func(t *Task)
+	label  string
 }
 
-// run executes n and then, under the immediate-successor policy, keeps
-// executing newly released successors on the same virtual core. core < 0
-// means the goroutine must first acquire a core.
-func (n *node) run(core int) {
-	rt := n.rt
+// push appends a ready (or resuming) task to the FIFO queue. Caller holds
+// rt.mu.
+func (rt *Runtime) push(n *Task) {
+	n.next = nil
+	if rt.tail == nil {
+		rt.head = n
+	} else {
+		rt.tail.next = n
+	}
+	rt.tail = n
+	rt.wake()
+}
+
+// wake signals a parked worker when a queued task and a free core wait to
+// be paired. With no core free nobody needs waking: a worker giving one up
+// looks at the queue itself. Caller holds rt.mu.
+func (rt *Runtime) wake() {
+	if rt.idle > 0 && rt.head != nil && len(rt.cores) > 0 {
+		rt.idle--
+		rt.workCond.Signal()
+	}
+}
+
+// worker is the loop of one worker goroutine: pair the head of the ready
+// queue with a free core, run the task and then the chain of immediate
+// successors it releases on that core, give the core back. One hold of
+// rt.mu covers a task's retirement and the fetch of the next.
+func (rt *Runtime) worker() {
+	defer rt.wg.Done()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	for {
-		if core < 0 {
-			core = <-rt.cores
+		for rt.head == nil || len(rt.cores) == 0 {
+			if rt.closed {
+				return
+			}
+			rt.idle++
+			rt.workCond.Wait()
 		}
-		t := &Task{node: n, core: core}
-		runBody(n, t)
-		core = t.core // Suspend may have exchanged the core id
-		if rt.onTaskEnd != nil {
-			rt.onTaskEnd(n.label, core)
+		n, k := rt.head, len(rt.cores)-1
+		if rt.head = n.next; rt.head == nil {
+			rt.tail = nil
 		}
-		ready, finishedNow := n.completeEvent()
-		if !finishedNow {
-			// Bound events still in flight: the core is free, the task
-			// will finish from the last event's completion callback.
-			rt.cores <- core
-			return
+		core := rt.cores[k]
+		rt.cores = rt.cores[:k]
+		if n.suspended { // a resuming task: the core is all it waits for
+			n.suspended, n.core = false, core
+			rt.cond.Broadcast()
+			continue
 		}
-		var next *node
-		if rt.imsucc && len(ready) > 0 {
-			next, ready = ready[0], ready[1:]
-		}
-		for _, m := range ready {
-			go m.run(-1)
-		}
-		if next == nil {
-			rt.cores <- core
-			return
-		}
-		n = next
-	}
-}
-
-// runBody invokes the task body, converting panics into a recorded runtime
-// failure so the graph still drains and Wait can rethrow deterministically.
-func runBody(n *node, t *Task) {
-	defer func() {
-		if p := recover(); p != nil {
-			n.rt.recordPanic(p)
-		}
-	}()
-	n.body(t)
-}
-
-func (rt *Runtime) recordPanic(p any) {
-	rt.mu.Lock()
-	if rt.firstPanic == nil {
-		rt.firstPanic = p
-	}
-	rt.mu.Unlock()
-}
-
-// completeEvent consumes one outstanding event. When the last event is
-// consumed the task finishes: it releases its dependencies and returns the
-// successors that became ready.
-func (n *node) completeEvent() (ready []*node, finished bool) {
-	if atomic.AddInt32(&n.events, -1) != 0 {
-		return nil, false
-	}
-	return n.finish(), true
-}
-
-// finish marks n done and releases its dependency edges. It returns the
-// successors whose last predecessor was n. WaitAccess pseudo-nodes are
-// signalled instead of scheduled.
-func (n *node) finish() []*node {
-	rt := n.rt
-	rt.mu.Lock()
-	n.finished = true
-	if rt.obs != nil && n.id != 0 {
-		rt.obs.TaskFinished(n.id)
-	}
-	var ready []*node
-	for _, s := range n.successors {
-		s.pending--
-		if s.pending == 0 {
-			if s.waitCh != nil {
-				close(s.waitCh)
+		for n != nil {
+			n.core = core
+			rt.mu.Unlock()
+			p := n.run()
+			rt.mu.Lock()
+			core = n.core // Suspend may have exchanged the core
+			if p != nil && rt.firstPanic == nil {
+				rt.firstPanic = p
+			}
+			if n.events.Add(-1) == 0 {
+				n = rt.finish(n, rt.imsucc)
 			} else {
-				ready = append(ready, s)
+				n = nil // the last bound event's CompleteEvent finishes it
 			}
 		}
+		rt.cores = append(rt.cores, core)
 	}
-	n.successors = nil
-	rt.live--
-	if rt.live == 0 {
-		// The whole graph drained: all dependency state refers to finished
-		// tasks and can be dropped, bounding memory across refinement
-		// epochs that retire old block keys.
-		rt.deps = make(map[any]*depState)
-		rt.cond.Broadcast()
-	}
-	rt.mu.Unlock()
-	return ready
 }
 
-// Task is the handle passed to a task body.
-type Task struct {
-	node *node
-	core int
+// run invokes the task body, converting a panic into a value the worker
+// records, so the graph still drains and Wait can rethrow deterministically.
+func (n *Task) run() (p any) {
+	defer func() { p = recover() }()
+	n.body(n)
+	return nil
+}
+
+// finish marks n done and releases its dependency edges: successors whose
+// last predecessor was n join the ready queue, except that with keep set
+// the first of them is returned for the caller to run next on its core.
+// n must not be used afterwards. Caller holds rt.mu.
+func (rt *Runtime) finish(n *Task, keep bool) (next *Task) {
+	n.finished = true
+	if rt.obs != nil {
+		rt.obs.TaskFinished(n.id)
+	}
+	for _, s := range n.succs {
+		if s.pending--; s.pending > 0 {
+			continue
+		}
+		switch {
+		case s.waiter:
+			rt.cond.Broadcast()
+		case keep && next == nil:
+			next = s
+		default:
+			rt.push(s)
+		}
+	}
+	// Drop the edges so a finished record keeps no later task reachable.
+	n.succs, n.inline = nil, [len(n.inline)]*Task{}
+	if rt.live--; rt.live == 0 {
+		rt.cond.Broadcast()
+	}
+	if n.refs == 0 {
+		n.next, rt.free = rt.free, n
+	}
+	return next
 }
 
 // Label returns the label the task was spawned with.
-func (t *Task) Label() string { return t.node.label }
+func (t *Task) Label() string { return t.label }
 
 // ID returns the task's runtime-unique id (positive, in spawn order), the
 // identity the sanitizer's access notes attach to.
-func (t *Task) ID() uint64 { return t.node.id }
+func (t *Task) ID() uint64 { return t.id }
 
 // Worker returns the virtual core currently executing the task.
 func (t *Task) Worker() int { return t.core }
-
-// Runtime returns the runtime executing the task.
-func (t *Task) Runtime() *Runtime { return t.node.rt }
 
 // AddEvents binds k additional external events to the task. The task will
 // not release its dependencies until CompleteEvent has been called once per
@@ -152,34 +159,55 @@ func (t *Task) AddEvents(k int) {
 	if k <= 0 {
 		panic("task: AddEvents requires a positive count")
 	}
-	atomic.AddInt32(&t.node.events, int32(k))
+	t.events.Add(int32(k))
 }
 
 // CompleteEvent consumes one bound event. It may be called from any
-// goroutine (typically an MPI completion callback). When the final
-// obligation completes, the task releases its dependencies and its ready
-// successors are scheduled.
+// goroutine (typically an MPI completion). The final one releases the
+// task's dependencies, putting its ready successors on the queue; the
+// handle is dead from then on.
 func (t *Task) CompleteEvent() {
-	ready, finished := t.node.completeEvent()
-	if !finished {
-		return
-	}
-	for _, m := range ready {
-		go m.run(-1)
+	if t.events.Add(-1) == 0 {
+		rt := t.rt
+		rt.mu.Lock()
+		rt.finish(t, false)
+		rt.mu.Unlock()
 	}
 }
 
-// Suspend parks the task until ch is closed (or receives), releasing its
+// Suspend parks the task until ch is closed (or receives), giving up its
 // virtual core so other tasks can run — the mechanism behind blocking
-// TAMPI operations. If ch is already ready, the task keeps its core.
+// TAMPI operations. On resume it takes a free core or queues for one
+// behind the ready tasks. If ch is already ready, the task keeps its core.
 func (t *Task) Suspend(ch <-chan struct{}) {
 	select {
 	case <-ch:
 		return
 	default:
 	}
-	rt := t.node.rt
-	rt.cores <- t.core
+	rt := t.rt
+	rt.mu.Lock()
+	rt.cores = append(rt.cores, t.core)
+	rt.wake()
+	// This goroutine is about to block: Workers others must remain to
+	// carry the cores, so the first suspensions each add a spare worker.
+	if rt.blocked++; rt.carriers-rt.blocked < cap(rt.cores) {
+		rt.carriers++
+		rt.wg.Add(1)
+		go rt.worker()
+	}
+	rt.mu.Unlock()
 	<-ch
-	t.core = <-rt.cores
+	rt.mu.Lock()
+	rt.blocked--
+	if k := len(rt.cores) - 1; k >= 0 {
+		t.core, rt.cores = rt.cores[k], rt.cores[:k]
+	} else {
+		t.suspended = true
+		rt.push(t)
+		for t.suspended {
+			rt.cond.Wait()
+		}
+	}
+	rt.mu.Unlock()
 }

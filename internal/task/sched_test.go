@@ -1,0 +1,215 @@
+package task
+
+import (
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// These tests pin the execution core: fixed workers, one FIFO ready queue,
+// the immediate-successor slot, core hand-off around Suspend, and worker
+// exit at Shutdown.
+
+// gated spawns a task that holds the runtime's only core until release is
+// closed, so that everything spawned meanwhile queues up behind it.
+func gated(rt *Runtime, release <-chan struct{}, accs ...Access) {
+	started := make(chan struct{})
+	rt.Spawn("gate", func(*Task) {
+		close(started)
+		<-release
+	}, accs...)
+	<-started
+}
+
+func TestReadyTasksStartInFIFOOrder(t *testing.T) {
+	rt := MustNewRuntime(Options{Workers: 1})
+	defer rt.Shutdown()
+	release := make(chan struct{})
+	gated(rt, release)
+	var order []int // one worker: bodies never overlap
+	const n = 50
+	for i := 0; i < n; i++ {
+		rt.Spawn("t", func(*Task) { order = append(order, i) })
+	}
+	close(release)
+	rt.Wait()
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("ready tasks ran out of spawn order: %v", order)
+		}
+	}
+	if len(order) != n {
+		t.Fatalf("ran %d tasks, want %d", len(order), n)
+	}
+}
+
+// With the policy on, a finishing task's successor runs next on the same
+// core, ahead of older ready work; with it off the successor queues behind
+// that work like any other ready task.
+func TestImmediateSuccessorSlot(t *testing.T) {
+	for _, tc := range []struct {
+		disable bool
+		want    []string
+	}{
+		{false, []string{"succ", "older"}},
+		{true, []string{"older", "succ"}},
+	} {
+		rt := MustNewRuntime(Options{Workers: 1, DisableImmediateSuccessor: tc.disable})
+		release := make(chan struct{})
+		gated(rt, release, Out("k")...)
+		var order []string
+		rt.Spawn("older", func(*Task) { order = append(order, "older") })
+		rt.Spawn("succ", func(*Task) { order = append(order, "succ") }, In("k")...)
+		close(release)
+		rt.Shutdown()
+		if !slices.Equal(order, tc.want) {
+			t.Errorf("DisableImmediateSuccessor=%v: ran %v, want %v", tc.disable, order, tc.want)
+		}
+	}
+}
+
+// Every worker's task suspends at once while more ready tasks than cores
+// are queued: the lent cores must run that work (it is what releases the
+// suspended tasks), every suspended task must get a core back, and no two
+// running bodies may ever share a core.
+func TestAllWorkersSuspendedStillDrains(t *testing.T) {
+	const workers, extra = 3, 12
+	rt := MustNewRuntime(Options{Workers: workers})
+	defer rt.Shutdown()
+	var busy [workers]atomic.Int32
+	enter := func(tk *Task) int {
+		c := tk.Worker()
+		if c < 0 || c >= workers {
+			t.Errorf("core %d out of range", c)
+		} else if busy[c].Add(1) != 1 {
+			t.Errorf("core %d runs two bodies at once", c)
+		}
+		return c
+	}
+	var gates [workers]chan struct{}
+	var suspended sync.WaitGroup
+	suspended.Add(workers)
+	for i := range gates {
+		gates[i] = make(chan struct{})
+		rt.Spawn("suspender", func(tk *Task) {
+			busy[enter(tk)].Add(-1) // the core is lent out while suspended
+			suspended.Done()
+			tk.Suspend(gates[i])
+			busy[enter(tk)].Add(-1)
+		})
+	}
+	suspended.Wait() // all cores are now held by tasks about to suspend
+	var ran atomic.Int32
+	for i := 0; i < extra; i++ {
+		rt.Spawn("work", func(tk *Task) {
+			c := enter(tk)
+			if int(ran.Add(1)) == extra {
+				for _, g := range gates {
+					close(g)
+				}
+			}
+			busy[c].Add(-1)
+		})
+	}
+	done := make(chan struct{})
+	go func() { rt.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("runtime did not drain with every worker suspended")
+	}
+	// The cores all came back: a full-width batch runs in parallel again.
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for i := 0; i < workers; i++ {
+		rt.Spawn("after", func(*Task) { wg.Done(); wg.Wait() })
+	}
+	rt.Wait()
+}
+
+// An external event completed by a foreign goroutine while every worker is
+// busy: the released successor must wait in the queue and run as soon as a
+// core frees up.
+func TestForeignCompleteEventWithNoIdleWorker(t *testing.T) {
+	rt := MustNewRuntime(Options{Workers: 1})
+	defer rt.Shutdown()
+	handle := make(chan *Task, 1)
+	rt.Spawn("bind", func(tk *Task) {
+		tk.AddEvents(1)
+		handle <- tk
+	}, Out("k")...)
+	var succRan atomic.Bool
+	rt.Spawn("succ", func(*Task) { succRan.Store(true) }, In("k")...)
+	tk := <-handle
+	release := make(chan struct{})
+	gated(rt, release) // the only core is busy from here on
+	tk.CompleteEvent() // from the test goroutine: readies succ, nobody to wake
+	if succRan.Load() {
+		t.Fatal("successor ran without a core")
+	}
+	close(release)
+	rt.Wait()
+	if !succRan.Load() {
+		t.Fatal("successor released by a foreign CompleteEvent never ran")
+	}
+}
+
+func TestShutdownStopsWorkers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	rt := MustNewRuntime(Options{Workers: 4})
+	gate := make(chan struct{})
+	for i := 0; i < 8; i++ { // suspensions add spare workers; they must exit too
+		rt.Spawn("s", func(tk *Task) { tk.Suspend(gate) })
+	}
+	close(gate)
+	rt.Shutdown()
+	// Shutdown waits for every worker's exit to begin; give the last of
+	// them a moment to be unlinked from the scheduler's count.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before NewRuntime, %d after Shutdown", before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// In the steady state a spawn costs no allocation inside the runtime: task
+// records, their successor lists and the per-key reader lists are recycled.
+func TestSpawnRecyclesTaskRecords(t *testing.T) {
+	rt := MustNewRuntime(Options{Workers: 2})
+	defer rt.Shutdown()
+	body := func(*Task) {}
+	chain, w, r := InOut("chain"), Out("fan"), In("fan")
+	// One batch: 300 spawns, then a taskwait that bounds the backlog (and
+	// with it the size the record pool has to reach).
+	batch := func() {
+		for i := 0; i < 100; i++ {
+			rt.Spawn("c", body, chain...)
+			if i%4 == 0 { // 3 readers + the next writer: the inline successor list holds them
+				rt.Spawn("w", body, w...)
+			} else {
+				rt.Spawn("r", body, r...)
+			}
+			rt.Spawn("i", body)
+		}
+		rt.WaitKeys("chain", "fan")
+	}
+	for i := 0; i < 20; i++ { // warm up: size the pool and the reader lists
+		batch()
+	}
+	const batches = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < batches; i++ {
+		batch()
+	}
+	runtime.ReadMemStats(&after)
+	// Each taskwait allocates its pseudo-task and access list; nothing else
+	// should.
+	if per := float64(after.Mallocs-before.Mallocs) / batches; per > 5 {
+		t.Errorf("%.1f allocations per batch of 300 spawns in the steady state, want only the taskwait's", per)
+	}
+}

@@ -11,27 +11,30 @@
 // Features mirrored from OmpSs-2 because the paper relies on them:
 //
 //   - External events: a task may bind outstanding events (in-flight MPI
-//     requests, via the tampi package) so that it releases its
-//     dependencies only after both its body has returned and every bound
-//     event has completed. This is what makes non-blocking TAMPI
-//     operations safe inside tasks.
+//     requests, via the tampi package); it releases its dependencies only
+//     once its body has returned and every bound event has completed,
+//     which makes non-blocking TAMPI operations safe inside tasks.
 //   - Blocking suspension: a task may suspend until a channel closes
-//     (tampi's blocking operations), releasing its core to other tasks.
+//     (tampi's blocking operations), giving up its core to other tasks.
 //   - Taskwait and taskwait-with-dependencies (WaitAccess/WaitKeys), the
 //     feature behind the paper's delayed checksum validation.
 //   - An immediate-successor scheduling policy: when a task finishes and
 //     unblocks successors, the same virtual core continues with one of
-//     them, exploiting temporal locality. The paper credits this policy
-//     for the IPC improvement of the data-flow variant; it can be turned
-//     off for ablation benchmarks.
+//     them, exploiting temporal locality (the paper credits it for the
+//     data-flow variant's IPC); it can be turned off for ablation runs.
 //
-// Concurrency is bounded by a fixed number of virtual cores (workers).
-// Each running task holds one core; suspension and event-bound completion
-// release the core so communication-heavy tasks never starve computation.
+// Execution: Options.Workers long-lived worker goroutines pair the head of
+// one FIFO ready queue with a free virtual core (no per-worker queues, no
+// stealing). All scheduling state sits behind one mutex, taken once per
+// spawn and once per retired task. A suspending task gives its core back
+// (a spare worker goroutine stands in for its own) and on resume takes a
+// free core or queues for one. Task records are recycled once finished
+// and no longer named by the dependency map.
 package task
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -49,18 +52,6 @@ const (
 	// ModeInOut declares a read-write access.
 	ModeInOut
 )
-
-func (m Mode) String() string {
-	switch m {
-	case ModeIn:
-		return "in"
-	case ModeOut:
-		return "out"
-	case ModeInOut:
-		return "inout"
-	}
-	return "unknown"
-}
 
 // Access is one dependency clause entry: a mode over a key. Keys may be any
 // comparable value; two accesses conflict when their keys are equal.
@@ -88,13 +79,7 @@ func accesses(m Mode, keys []any) []Access {
 
 // Merge concatenates access lists, a convenience for combining In(...) and
 // Out(...) clauses on one task.
-func Merge(lists ...[]Access) []Access {
-	var out []Access
-	for _, l := range lists {
-		out = append(out, l...)
-	}
-	return out
-}
+func Merge(lists ...[]Access) []Access { return slices.Concat(lists...) }
 
 // Options configure a Runtime.
 type Options struct {
@@ -104,9 +89,6 @@ type Options struct {
 	// tasks always push ready successors to the global queue instead of
 	// continuing with one on the same core. For ablation measurements.
 	DisableImmediateSuccessor bool
-	// OnTaskEnd, when set, is invoked after each task body completes with
-	// the task's label and the virtual core that ran it. Used by tracing.
-	OnTaskEnd func(label string, worker int)
 	// Observer, when set, receives task-graph lifecycle events (spawns,
 	// dependence edges, completions, quiescent points). Used by the
 	// runtime sanitizer; nil costs nothing.
@@ -115,43 +97,54 @@ type Options struct {
 
 // Runtime schedules tasks over a fixed set of virtual cores.
 type Runtime struct {
-	mu      sync.Mutex
-	cond    *sync.Cond // signalled when live hits zero
-	deps    map[any]*depState
-	live    int  // spawned but not yet fully finished tasks
-	spawned int  // total tasks ever spawned
-	closed  bool // Shutdown called
+	mu       sync.Mutex
+	cond     sync.Cond      // broadcast to Wait/WaitAccess callers and resuming tasks
+	workCond sync.Cond      // idle workers park here; one signal per queued task
+	wg       sync.WaitGroup // the worker goroutines
 
-	cores      chan int // virtual core ids; capacity = Workers
+	deps       map[any]*depState
+	live       int   // spawned but not yet fully finished tasks
+	spawned    int   // total tasks ever spawned; also the task id source
+	closed     bool  // Shutdown called
+	head, tail *Task // FIFO ready queue, linked through Task.next
+	free       *Task // recycled task records, linked through Task.next
+	cores      []int // virtual cores no task is running on; cap is Workers
+	idle       int   // workers parked on workCond and not yet signalled
+	carriers   int   // worker goroutines: Workers plus the spares Suspend added
+	blocked    int   // workers blocked inside a suspended task's body
+
 	imsucc     bool
-	onTaskEnd  func(string, int)
 	obs        Observer // nil unless a sanitizer is attached
-	nextID     uint64   // task id source; guarded by mu
 	firstPanic any
-	panicOnce  sync.Once
 }
 
 // depState tracks the most recent writer and subsequent readers of a key.
+// Every task it names holds one reference (Task.refs) per mention.
 type depState struct {
-	lastWriter *node
-	readers    []*node // readers since lastWriter
+	lastWriter *Task
+	readers    []*Task // readers since lastWriter
 }
 
-// NewRuntime creates a runtime with the given options.
+// NewRuntime creates a runtime with the given options and starts its
+// workers; Shutdown stops them.
 func NewRuntime(opts Options) (*Runtime, error) {
 	if opts.Workers <= 0 {
 		return nil, fmt.Errorf("task: Workers must be positive, got %d", opts.Workers)
 	}
 	rt := &Runtime{
-		deps:      make(map[any]*depState),
-		cores:     make(chan int, opts.Workers),
-		imsucc:    !opts.DisableImmediateSuccessor,
-		onTaskEnd: opts.OnTaskEnd,
-		obs:       opts.Observer,
+		deps:     make(map[any]*depState),
+		cores:    make([]int, opts.Workers),
+		carriers: opts.Workers,
+		imsucc:   !opts.DisableImmediateSuccessor,
+		obs:      opts.Observer,
 	}
-	rt.cond = sync.NewCond(&rt.mu)
-	for i := 0; i < opts.Workers; i++ {
-		rt.cores <- i
+	rt.cond.L, rt.workCond.L = &rt.mu, &rt.mu
+	for i := range rt.cores {
+		rt.cores[i] = i
+	}
+	rt.wg.Add(opts.Workers)
+	for range rt.cores {
+		go rt.worker()
 	}
 	return rt, nil
 }
@@ -165,9 +158,6 @@ func MustNewRuntime(opts Options) *Runtime {
 	return rt
 }
 
-// Workers returns the number of virtual cores.
-func (rt *Runtime) Workers() int { return cap(rt.cores) }
-
 // SpawnCount returns the total number of tasks spawned so far.
 func (rt *Runtime) SpawnCount() int {
 	rt.mu.Lock()
@@ -176,70 +166,76 @@ func (rt *Runtime) SpawnCount() int {
 }
 
 // Spawn submits a task with a label (for tracing), a body and dependency
-// accesses. The task becomes ready once all conflicting predecessors have
-// released their dependencies, and releases its own dependencies when the
-// body has returned and all bound events have completed.
+// accesses (not retained). The task becomes ready once all conflicting
+// predecessors have released their dependencies, and releases its own when
+// the body has returned and all bound events have completed.
 func (rt *Runtime) Spawn(label string, body func(t *Task), accs ...Access) {
-	n := &node{
-		rt:     rt,
-		label:  label,
-		body:   body,
-		events: 1, // the body itself
-	}
 	rt.mu.Lock()
 	if rt.closed {
 		rt.mu.Unlock()
 		panic("task: Spawn after Shutdown")
 	}
-	rt.nextID++
-	n.id = rt.nextID
+	n := rt.free
+	if n == nil {
+		n = new(Task)
+	} else {
+		rt.free = n.next
+	}
 	rt.spawned++
 	rt.live++
+	*n = Task{rt: rt, label: label, body: body, id: uint64(rt.spawned)}
+	n.succs = n.inline[:0]
+	n.events.Store(1) // the body itself
 	if rt.obs != nil {
 		rt.obs.TaskSpawned(n.id, label, accs)
 	}
-	rt.link(n, accs)
-	ready := n.pending == 0
-	rt.mu.Unlock()
-	if ready {
-		go n.run(-1)
-	}
-}
-
-// link wires n into the dependency graph. Caller holds rt.mu.
-func (rt *Runtime) link(n *node, accs []Access) {
 	for _, a := range accs {
-		st, ok := rt.deps[a.Key]
-		if !ok {
+		st := rt.deps[a.Key]
+		if st == nil {
 			st = &depState{}
 			rt.deps[a.Key] = st
 		}
-		switch a.Mode {
-		case ModeIn:
-			rt.addEdge(st.lastWriter, n)
+		rt.addEdge(st.lastWriter, n)
+		n.refs++
+		if a.Mode == ModeIn {
 			st.readers = append(st.readers, n)
-		case ModeOut, ModeInOut:
-			rt.addEdge(st.lastWriter, n)
-			for _, r := range st.readers {
-				rt.addEdge(r, n)
-			}
-			st.lastWriter = n
-			st.readers = st.readers[:0]
+			continue
 		}
+		for _, r := range st.readers {
+			rt.addEdge(r, n)
+			rt.unref(r)
+		}
+		rt.unref(st.lastWriter)
+		st.lastWriter, st.readers = n, st.readers[:0]
 	}
+	if n.pending == 0 {
+		rt.push(n)
+	}
+	rt.mu.Unlock()
 }
 
 // addEdge makes succ depend on pred unless pred is absent, finished, or
 // identical to succ (a task reading and writing the same key must not
 // depend on itself). Caller holds rt.mu.
-func (rt *Runtime) addEdge(pred, succ *node) {
+func (rt *Runtime) addEdge(pred, succ *Task) {
 	if pred == nil || pred == succ || pred.finished {
 		return
 	}
-	pred.successors = append(pred.successors, succ)
+	pred.succs = append(pred.succs, succ)
 	succ.pending++
-	if rt.obs != nil && pred.id != 0 && succ.id != 0 {
+	if rt.obs != nil && succ.id != 0 {
 		rt.obs.TaskDependence(pred.id, succ.id)
+	}
+}
+
+// unref drops one dependency-map mention of n and recycles its record once
+// it has finished and nothing names it any more. Caller holds rt.mu.
+func (rt *Runtime) unref(n *Task) {
+	if n == nil {
+		return
+	}
+	if n.refs--; n.refs == 0 && n.finished {
+		n.next, rt.free = rt.free, n
 	}
 }
 
@@ -251,6 +247,9 @@ func (rt *Runtime) Wait() {
 	for rt.live > 0 {
 		rt.cond.Wait()
 	}
+	// All dependency state now names finished tasks: drop it, bounding
+	// memory across refinement epochs that retire old block keys.
+	clear(rt.deps)
 	if rt.obs != nil {
 		rt.obs.Quiesced()
 	}
@@ -265,41 +264,25 @@ func (rt *Runtime) Wait() {
 // OmpSs-2 "taskwait with dependencies". An in-access waits only for the
 // last writer of the key; an out/inout access also waits for readers.
 // Unlike Wait, unrelated tasks keep running and new tasks may be spawned
-// by other goroutines concurrently.
+// by other goroutines concurrently. It rethrows a recorded task panic.
 func (rt *Runtime) WaitAccess(accs ...Access) {
-	w := &node{rt: rt, waitCh: make(chan struct{})}
+	w := &Task{waiter: true}
 	rt.mu.Lock()
 	for _, a := range accs {
-		st, ok := rt.deps[a.Key]
-		if !ok {
+		st := rt.deps[a.Key]
+		if st == nil {
 			continue
 		}
-		switch a.Mode {
-		case ModeIn:
-			rt.addEdge(st.lastWriter, w)
-		case ModeOut, ModeInOut:
-			rt.addEdge(st.lastWriter, w)
+		rt.addEdge(st.lastWriter, w)
+		if a.Mode != ModeIn {
 			for _, r := range st.readers {
 				rt.addEdge(r, w)
 			}
 		}
 	}
-	ready := w.pending == 0
-	rt.mu.Unlock()
-	if !ready {
-		<-w.waitCh
+	for w.pending > 0 {
+		rt.cond.Wait()
 	}
-	rt.rethrow()
-}
-
-// WaitKeys is WaitAccess with in-mode over the keys: it blocks until the
-// last writers of all keys have finished.
-func (rt *Runtime) WaitKeys(keys ...any) {
-	rt.WaitAccess(In(keys...)...)
-}
-
-func (rt *Runtime) rethrow() {
-	rt.mu.Lock()
 	p := rt.firstPanic
 	rt.mu.Unlock()
 	if p != nil {
@@ -307,11 +290,18 @@ func (rt *Runtime) rethrow() {
 	}
 }
 
-// Shutdown marks the runtime closed after draining all outstanding tasks.
-// Further Spawns panic. It is safe to call Shutdown more than once.
+// WaitKeys is WaitAccess with in-mode over the keys: it blocks until the
+// last writers of all keys have finished.
+func (rt *Runtime) WaitKeys(keys ...any) { rt.WaitAccess(In(keys...)...) }
+
+// Shutdown drains all outstanding tasks, closes the runtime (further
+// Spawns panic) and returns once every worker goroutine has exited. It is
+// safe to call more than once.
 func (rt *Runtime) Shutdown() {
 	rt.Wait()
 	rt.mu.Lock()
 	rt.closed = true
+	rt.workCond.Broadcast()
 	rt.mu.Unlock()
+	rt.wg.Wait()
 }
