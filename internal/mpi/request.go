@@ -13,7 +13,7 @@ import "sync"
 type Request struct {
 	mu   sync.Mutex
 	done bool
-	//amr:chan owner=complete,abort,Done
+	//amr:chan owner=settle,Done
 	doneCh    chan struct{} // lazily created by Wait/Done on incomplete requests
 	status    Status
 	err       error
@@ -46,12 +46,21 @@ func newRequest() *Request { return requestPool.Get().(*Request) }
 
 // complete records the outcome, fires callbacks and notifies the owning
 // waitset. It must be called at most once per pooled lifetime.
+func (r *Request) complete(st Status, err error) { r.settle(st, err, false) }
+
+// settle marks the request done with the given outcome and tells everyone
+// waiting on it, in this order: Done/Wait, the OnComplete callbacks, the
+// bound Completion, the owning waitset. On a request that is already done
+// a genuine completion panics and an abort does nothing.
 //
 //amr:hot allocs=1
-func (r *Request) complete(st Status, err error) {
+func (r *Request) settle(st Status, err error, abort bool) {
 	r.mu.Lock()
 	if r.done {
 		r.mu.Unlock()
+		if abort {
+			return
+		}
 		panic("mpi: request completed twice")
 	}
 	r.done = true
@@ -110,32 +119,7 @@ func (r *Request) Wait() (Status, error) {
 // monitor; it is a no-op on an already-completed request. A genuine
 // completion arriving after an abort panics in complete, which is
 // acceptable only because aborts fire solely on provably dead jobs.
-func (r *Request) abort(err error) {
-	r.mu.Lock()
-	if r.done {
-		r.mu.Unlock()
-		return
-	}
-	r.done = true
-	r.err = err
-	cbs, bound := r.callbacks, r.bound
-	r.callbacks, r.bound = nil, nil
-	if r.doneCh != nil {
-		close(r.doneCh)
-	}
-	ws, wsIdx := r.ws, r.wsIdx
-	r.ws = nil
-	r.mu.Unlock()
-	for _, cb := range cbs {
-		cb()
-	}
-	if bound != nil {
-		bound.RequestDone(err)
-	}
-	if ws != nil {
-		ws.deliver(wsIdx)
-	}
-}
+func (r *Request) abort(err error) { r.settle(Status{}, err, true) }
 
 // Test reports whether the operation has completed, without blocking.
 // When it returns true the status and error are those of the completion.

@@ -16,10 +16,6 @@
 //     therefore observe fully transferred buffers without anybody
 //     spinning on MPI_Test.
 //
-// Iwait corresponds to TAMPI_Iwait/TAMPI_Iwaitall; Isend and Irecv are the
-// convenience wrappers TAMPI_Isend/TAMPI_Irecv that perform the operation
-// and immediately bind the resulting request.
-//
 // Errors on bound requests complete asynchronously, possibly after the
 // issuing task body has returned; they are recorded in the Context and
 // surfaced by Err, which drivers check at phase boundaries.

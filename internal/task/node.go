@@ -1,6 +1,14 @@
 package task
 
-import "sync/atomic"
+import (
+	"runtime"
+	"sync/atomic"
+	"time"
+)
+
+// See Execution in the package comment.
+const yieldEvery = 500 * time.Microsecond
+const backlog = 8
 
 // Task is the runtime's record of one task and the handle passed to its
 // body. The handle is valid until the task has finished (body returned and
@@ -30,16 +38,12 @@ type Task struct {
 	label  string
 }
 
-// push appends a ready (or resuming) task to the FIFO queue. Caller holds
-// rt.mu.
+// push appends a ready or resuming task to the FIFO queue. Caller holds rt.mu.
 func (rt *Runtime) push(n *Task) {
 	n.next = nil
-	if rt.tail == nil {
-		rt.head = n
-	} else {
-		rt.tail.next = n
-	}
-	rt.tail = n
+	*rt.tail = n
+	rt.tail = &n.next
+	rt.queued++
 	rt.wake()
 }
 
@@ -47,8 +51,7 @@ func (rt *Runtime) push(n *Task) {
 // be paired. With no core free nobody needs waking: a worker giving one up
 // looks at the queue itself. Caller holds rt.mu.
 func (rt *Runtime) wake() {
-	if rt.idle > 0 && rt.head != nil && len(rt.cores) > 0 {
-		rt.idle--
+	if rt.head != nil && len(rt.cores) > 0 {
 		rt.workCond.Signal()
 	}
 }
@@ -61,17 +64,18 @@ func (rt *Runtime) worker() {
 	defer rt.wg.Done()
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
+	var yielded time.Time
 	for {
 		for rt.head == nil || len(rt.cores) == 0 {
 			if rt.closed {
 				return
 			}
-			rt.idle++
 			rt.workCond.Wait()
 		}
 		n, k := rt.head, len(rt.cores)-1
+		rt.queued--
 		if rt.head = n.next; rt.head == nil {
-			rt.tail = nil
+			rt.tail = &rt.head
 		}
 		core := rt.cores[k]
 		rt.cores = rt.cores[:k]
@@ -83,6 +87,10 @@ func (rt *Runtime) worker() {
 		for n != nil {
 			n.core = core
 			rt.mu.Unlock()
+			if now := time.Now(); now.Sub(yielded) > yieldEvery {
+				yielded = now
+				runtime.Gosched()
+			}
 			p := n.run()
 			rt.mu.Lock()
 			core = n.core // Suspend may have exchanged the core
@@ -150,11 +158,10 @@ func (t *Task) ID() uint64 { return t.id }
 // Worker returns the virtual core currently executing the task.
 func (t *Task) Worker() int { return t.core }
 
-// AddEvents binds k additional external events to the task. The task will
-// not release its dependencies until CompleteEvent has been called once per
-// bound event (and the body has returned). AddEvents must be called from
-// the task body, before it returns. This is the OmpSs-2 external-events API
-// that TAMPI builds Iwait on.
+// AddEvents binds k additional external events to the task, which will not
+// release its dependencies until CompleteEvent has been called once per
+// bound event (and the body has returned). It must be called from the task
+// body. This is the OmpSs-2 external-events API that TAMPI builds Iwait on.
 func (t *Task) AddEvents(k int) {
 	if k <= 0 {
 		panic("task: AddEvents requires a positive count")
@@ -162,10 +169,9 @@ func (t *Task) AddEvents(k int) {
 	t.events.Add(int32(k))
 }
 
-// CompleteEvent consumes one bound event. It may be called from any
-// goroutine (typically an MPI completion). The final one releases the
-// task's dependencies, putting its ready successors on the queue; the
-// handle is dead from then on.
+// CompleteEvent consumes one bound event, from any goroutine (typically an
+// MPI completion). The final one releases the task's dependencies, putting
+// its ready successors on the queue; the handle is dead from then on.
 func (t *Task) CompleteEvent() {
 	if t.events.Add(-1) == 0 {
 		rt := t.rt
@@ -189,17 +195,17 @@ func (t *Task) Suspend(ch <-chan struct{}) {
 	rt.mu.Lock()
 	rt.cores = append(rt.cores, t.core)
 	rt.wake()
-	// This goroutine is about to block: Workers others must remain to
-	// carry the cores, so the first suspensions each add a spare worker.
-	if rt.blocked++; rt.carriers-rt.blocked < cap(rt.cores) {
-		rt.carriers++
+	// Until it holds a core again this goroutine can carry none, not even
+	// while it queues for one on resume. Workers others must be able to, so
+	// the first suspensions each add a spare worker.
+	if rt.able--; rt.able < cap(rt.cores) {
+		rt.able++
 		rt.wg.Add(1)
 		go rt.worker()
 	}
 	rt.mu.Unlock()
 	<-ch
 	rt.mu.Lock()
-	rt.blocked--
 	if k := len(rt.cores) - 1; k >= 0 {
 		t.core, rt.cores = rt.cores[k], rt.cores[:k]
 	} else {
@@ -209,5 +215,6 @@ func (t *Task) Suspend(ch <-chan struct{}) {
 			rt.cond.Wait()
 		}
 	}
+	rt.able++
 	rt.mu.Unlock()
 }

@@ -130,6 +130,73 @@ func TestAllWorkersSuspendedStillDrains(t *testing.T) {
 	rt.Wait()
 }
 
+// A resumed task queues for a core because the only one is busy; the task
+// holding that core then suspends on something only the resumed task will
+// release. The freed core has to reach the queued task although neither
+// goroutine involved can carry it: one waits for the core, one is blocked.
+func TestCoreReachesTaskResumedWhileAnotherSuspends(t *testing.T) {
+	rt := MustNewRuntime(Options{Workers: 1}) // Shutdown is not deferred: it would hang on failure
+	chA, chB := make(chan struct{}), make(chan struct{})
+	var ranBehind atomic.Bool
+	rt.Spawn("A", func(tk *Task) {
+		tk.Suspend(chA)
+		close(chB)
+	})
+	rt.Spawn("B", func(tk *Task) {
+		close(chA)
+		time.Sleep(20 * time.Millisecond) // A resumes and queues for the core B holds
+		rt.Spawn("behind", func(*Task) { ranBehind.Store(true) })
+		tk.Suspend(chB)
+	})
+	done := make(chan struct{})
+	go func() { rt.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("core freed by a suspending task never reached the task queued to resume")
+	}
+	if !ranBehind.Load() {
+		t.Fatal("ready task queued behind the resuming one never ran")
+	}
+	rt.Shutdown()
+}
+
+// Many tasks that each release an earlier suspended task and then suspend
+// themselves on a later one: resumes and suspensions interleave on every
+// core, far more suspended tasks than cores. Nothing may be left without
+// a core or without a goroutine to carry it.
+func TestSuspendChainsDrain(t *testing.T) {
+	for workers := 1; workers <= 3; workers++ {
+		rt := MustNewRuntime(Options{Workers: workers}) // Shutdown is not deferred: it would hang on failure
+		const n = 300
+		waker := func(i int) int { return i + 1 + i%3 } // the task that releases task i
+		gates := make([]chan struct{}, n)
+		for i := range gates {
+			gates[i] = make(chan struct{})
+		}
+		for i := 0; i < n; i++ {
+			rt.Spawn("link", func(tk *Task) {
+				for j := max(i-3, 0); j < i; j++ {
+					if waker(j) == i {
+						close(gates[j])
+					}
+				}
+				if waker(i) < n {
+					tk.Suspend(gates[i])
+				}
+			})
+		}
+		done := make(chan struct{})
+		go func() { rt.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(20 * time.Second):
+			t.Fatalf("Workers=%d: chains of suspending tasks did not drain", workers)
+		}
+		rt.Shutdown()
+	}
+}
+
 // An external event completed by a foreign goroutine while every worker is
 // busy: the released successor must wait in the queue and run as soon as a
 // core frees up.
@@ -157,6 +224,19 @@ func TestForeignCompleteEventWithNoIdleWorker(t *testing.T) {
 	}
 }
 
+// goroutinesReturnTo fails the test unless the goroutine count falls back to
+// before. Shutdown waits for every worker's exit to begin; the last of them
+// may need a moment to be unlinked from the scheduler's count.
+func goroutinesReturnTo(t *testing.T, before int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before NewRuntime, %d after Shutdown", before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestShutdownStopsWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
 	rt := MustNewRuntime(Options{Workers: 4})
@@ -166,14 +246,24 @@ func TestShutdownStopsWorkers(t *testing.T) {
 	}
 	close(gate)
 	rt.Shutdown()
-	// Shutdown waits for every worker's exit to begin; give the last of
-	// them a moment to be unlinked from the scheduler's count.
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines before NewRuntime, %d after Shutdown", before, runtime.NumGoroutine())
-		}
-		time.Sleep(time.Millisecond)
+	goroutinesReturnTo(t, before)
+}
+
+// The usual `defer rt.Shutdown()` after a task panicked: Shutdown rethrows
+// the panic like Wait, but only once the workers are gone.
+func TestShutdownAfterTaskPanicStopsWorkers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	rt := MustNewRuntime(Options{Workers: 3})
+	rt.Spawn("boom", func(*Task) { panic("boom") })
+	caught := func() (p any) {
+		defer func() { p = recover() }()
+		rt.Shutdown()
+		return nil
+	}()
+	if caught != "boom" {
+		t.Fatalf("Shutdown rethrew %v, want boom", caught)
 	}
+	goroutinesReturnTo(t, before)
 }
 
 // In the steady state a spawn costs no allocation inside the runtime: task

@@ -25,15 +25,23 @@
 //
 // Execution: Options.Workers long-lived worker goroutines pair the head of
 // one FIFO ready queue with a free virtual core (no per-worker queues, no
-// stealing). All scheduling state sits behind one mutex, taken once per
-// spawn and once per retired task. A suspending task gives its core back
-// (a spare worker goroutine stands in for its own) and on resume takes a
-// free core or queues for one. Task records are recycled once finished
-// and no longer named by the dependency map.
+// stealing), behind one mutex taken once per spawn and once per retired
+// task. A suspending task gives its core back (a spare worker goroutine
+// stands in for its own) and on resume takes a free core or queues for one.
+// Finished task records are recycled once the dependency map drops them.
+//
+// A worker with tasks queued never blocks, and Go preempts a goroutine only
+// after 10 ms: with no idle CPU the rest of the process would wait that long
+// (the timers and socket readers that deliver messages and so complete bound
+// events, other ranks' runtimes). So a worker yields to the Go scheduler
+// between two tasks every yieldEvery, and Spawn yields while more than
+// backlog ready tasks per core are queued: spawning further ahead feeds no
+// core sooner and only grows the set of buffers in flight.
 package task
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 )
@@ -89,30 +97,27 @@ type Options struct {
 	// tasks always push ready successors to the global queue instead of
 	// continuing with one on the same core. For ablation measurements.
 	DisableImmediateSuccessor bool
-	// Observer, when set, receives task-graph lifecycle events (spawns,
-	// dependence edges, completions, quiescent points). Used by the
-	// runtime sanitizer; nil costs nothing.
+	// Observer, when set, receives task-graph lifecycle events; the runtime
+	// sanitizer is one. nil costs nothing.
 	Observer Observer
 }
 
 // Runtime schedules tasks over a fixed set of virtual cores.
 type Runtime struct {
-	mu       sync.Mutex
-	cond     sync.Cond      // broadcast to Wait/WaitAccess callers and resuming tasks
-	workCond sync.Cond      // idle workers park here; one signal per queued task
-	wg       sync.WaitGroup // the worker goroutines
-
+	mu         sync.Mutex
+	cond       sync.Cond      // broadcast to Wait/WaitAccess callers and resuming tasks
+	workCond   sync.Cond      // idle workers park here
+	wg         sync.WaitGroup // the worker goroutines
 	deps       map[any]*depState
-	live       int   // spawned but not yet fully finished tasks
-	spawned    int   // total tasks ever spawned; also the task id source
-	closed     bool  // Shutdown called
-	head, tail *Task // FIFO ready queue, linked through Task.next
-	free       *Task // recycled task records, linked through Task.next
-	cores      []int // virtual cores no task is running on; cap is Workers
-	idle       int   // workers parked on workCond and not yet signalled
-	carriers   int   // worker goroutines: Workers plus the spares Suspend added
-	blocked    int   // workers blocked inside a suspended task's body
-
+	live       int    // spawned but not yet fully finished tasks
+	spawned    int    // total tasks ever spawned; also the task id source
+	closed     bool   // Shutdown called
+	head       *Task  // FIFO ready queue, linked through Task.next
+	tail       **Task // its last link
+	free       *Task  // recycled task records, linked through Task.next
+	cores      []int  // virtual cores no task is running on; cap is Workers
+	able       int    // worker goroutines not inside a suspended task: they can carry a core
+	queued     int    // length of the ready queue
 	imsucc     bool
 	obs        Observer // nil unless a sanitizer is attached
 	firstPanic any
@@ -132,13 +137,13 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		return nil, fmt.Errorf("task: Workers must be positive, got %d", opts.Workers)
 	}
 	rt := &Runtime{
-		deps:     make(map[any]*depState),
-		cores:    make([]int, opts.Workers),
-		carriers: opts.Workers,
-		imsucc:   !opts.DisableImmediateSuccessor,
-		obs:      opts.Observer,
+		deps:   make(map[any]*depState),
+		cores:  make([]int, opts.Workers),
+		able:   opts.Workers,
+		imsucc: !opts.DisableImmediateSuccessor,
+		obs:    opts.Observer,
 	}
-	rt.cond.L, rt.workCond.L = &rt.mu, &rt.mu
+	rt.cond.L, rt.workCond.L, rt.tail = &rt.mu, &rt.mu, &rt.head
 	for i := range rt.cores {
 		rt.cores[i] = i
 	}
@@ -211,7 +216,11 @@ func (rt *Runtime) Spawn(label string, body func(t *Task), accs ...Access) {
 	if n.pending == 0 {
 		rt.push(n)
 	}
+	throttle := rt.queued > backlog*cap(rt.cores)
 	rt.mu.Unlock()
+	if throttle {
+		runtime.Gosched()
+	}
 }
 
 // addEdge makes succ depend on pred unless pred is absent, finished, or
@@ -242,7 +251,10 @@ func (rt *Runtime) unref(n *Task) {
 // Wait blocks until every spawned task has finished (an OmpSs-2/OpenMP
 // taskwait). If any task panicked, Wait re-panics with the first panic
 // value after the graph drains.
-func (rt *Runtime) Wait() {
+func (rt *Runtime) Wait() { rt.quiesce(false) }
+
+// quiesce is Wait, and with stop set the rest of Shutdown before the rethrow.
+func (rt *Runtime) quiesce(stop bool) {
 	rt.mu.Lock()
 	for rt.live > 0 {
 		rt.cond.Wait()
@@ -253,8 +265,15 @@ func (rt *Runtime) Wait() {
 	if rt.obs != nil {
 		rt.obs.Quiesced()
 	}
+	if stop {
+		rt.closed = true
+		rt.workCond.Broadcast()
+	}
 	p := rt.firstPanic
 	rt.mu.Unlock()
+	if stop {
+		rt.wg.Wait()
+	}
 	if p != nil {
 		panic(p)
 	}
@@ -290,18 +309,10 @@ func (rt *Runtime) WaitAccess(accs ...Access) {
 	}
 }
 
-// WaitKeys is WaitAccess with in-mode over the keys: it blocks until the
-// last writers of all keys have finished.
+// WaitKeys blocks until the last writers of all keys have finished.
 func (rt *Runtime) WaitKeys(keys ...any) { rt.WaitAccess(In(keys...)...) }
 
-// Shutdown drains all outstanding tasks, closes the runtime (further
-// Spawns panic) and returns once every worker goroutine has exited. It is
-// safe to call more than once.
-func (rt *Runtime) Shutdown() {
-	rt.Wait()
-	rt.mu.Lock()
-	rt.closed = true
-	rt.workCond.Broadcast()
-	rt.mu.Unlock()
-	rt.wg.Wait()
-}
+// Shutdown drains all outstanding tasks, closes the runtime (further Spawns
+// panic) and returns once every worker goroutine has exited, rethrowing a
+// task's panic like Wait only then. It is safe to call more than once.
+func (rt *Runtime) Shutdown() { rt.quiesce(true) }

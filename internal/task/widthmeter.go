@@ -1,5 +1,7 @@
 package task
 
+import "slices"
+
 // WidthMeter is an Observer that measures the dynamic concurrency width
 // of a task graph: the high-water mark of the ready set — tasks whose
 // predecessors have all finished but which have not themselves finished,
@@ -9,9 +11,8 @@ package task
 // MaxWidth (see internal/analysis' cost model) and must stay at or below
 // it when the model's instance counts match the run.
 //
-// All callbacks arrive serialised under the runtime's lock, so the meter
-// needs no locking of its own; read the results only after the graph
-// quiesced (Wait returned or the runtime shut down).
+// Callbacks arrive serialised under the runtime's lock, so the meter needs
+// no lock of its own; read the results only after Wait or Shutdown returned.
 //
 // The meter deliberately samples on dependence and finish events, not on
 // spawns: a task's edges arrive immediately after its spawn under the
@@ -29,10 +30,7 @@ type WidthMeter struct {
 // NewWidthMeter returns an empty meter, ready to be passed as
 // task.Options.Observer (or teed alongside a sanitizer with Tee).
 func NewWidthMeter() *WidthMeter {
-	return &WidthMeter{
-		pending: make(map[uint64]int),
-		succs:   make(map[uint64][]uint64),
-	}
+	return &WidthMeter{pending: map[uint64]int{}, succs: map[uint64][]uint64{}}
 }
 
 // TaskSpawned implements Observer.
@@ -53,12 +51,12 @@ func (m *WidthMeter) TaskDependence(pred, succ uint64) {
 	if m.pending[succ] == 1 {
 		m.ready--
 	}
-	m.sample()
+	m.hwm = max(m.hwm, m.ready)
 }
 
 // TaskFinished implements Observer.
 func (m *WidthMeter) TaskFinished(id uint64) {
-	m.sample() // the finishing task still holds its slot
+	m.hwm = max(m.hwm, m.ready) // the finishing task still holds its slot
 	m.ready--
 	for _, s := range m.succs[id] {
 		m.pending[s]--
@@ -68,17 +66,11 @@ func (m *WidthMeter) TaskFinished(id uint64) {
 	}
 	delete(m.succs, id)
 	delete(m.pending, id)
-	m.sample()
+	m.hwm = max(m.hwm, m.ready)
 }
 
 // Quiesced implements Observer.
 func (m *WidthMeter) Quiesced() {}
-
-func (m *WidthMeter) sample() {
-	if m.ready > m.hwm {
-		m.hwm = m.ready
-	}
-}
 
 // HighWater returns the ready-set high-water mark observed so far.
 func (m *WidthMeter) HighWater() int { return m.hwm }
@@ -86,17 +78,11 @@ func (m *WidthMeter) HighWater() int { return m.hwm }
 // Spawned returns the number of tasks observed.
 func (m *WidthMeter) Spawned() int { return m.spawned }
 
-// Tee fans lifecycle events out to several observers in argument order.
-// Nil entries are dropped; with one live observer it is returned
-// unwrapped, and with none Tee returns nil, preserving the runtime's
-// observer-is-nil fast path.
+// Tee fans lifecycle events out to several observers in argument order,
+// dropping nil entries. One live observer is returned unwrapped and none
+// gives nil, preserving the runtime's observer-is-nil fast path.
 func Tee(obs ...Observer) Observer {
-	live := make([]Observer, 0, len(obs))
-	for _, o := range obs {
-		if o != nil {
-			live = append(live, o)
-		}
-	}
+	live := slices.DeleteFunc(slices.Clone(obs), func(o Observer) bool { return o == nil })
 	switch len(live) {
 	case 0:
 		return nil
