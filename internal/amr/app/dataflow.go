@@ -2,6 +2,7 @@ package app
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"miniamr/internal/amr/comm"
@@ -16,17 +17,28 @@ import (
 // Dependency keys of the data-flow taskification. Dependencies are
 // declared at the granularity the paper describes: a mesh block and its
 // variable group (never individual faces), plus communication buffer
-// sections.
+// sections. A block is two regions, because its two parts have different
+// writers: the stencil writes the interior, the ghost exchange the halo.
 type (
-	// blockKey is a block's variable-group range. Block state persists
-	// across timesteps, and graphlint matches it as one class so the
-	// pack -> local-copy -> boundary -> unpack -> stencil -> checksum
-	// chain is visible at the phase level.
+	// blockKey is the interior of a block's variable-group range: written
+	// by stencil, read by pack, by the fills of the neighbouring blocks and
+	// by the checksum. Block state persists across timesteps, and graphlint
+	// matches it as one class so the pack -> stencil -> checksum chain is
+	// visible at the phase level.
 	//
 	//amr:region state
 	blockKey struct {
 		c mesh.Coord
 		g int // group index
+	}
+	// ghostKey is the halo of the same range, all six faces: filled by the
+	// block's fill task and its unpack tasks, consumed (and for the 27-point
+	// kernel completed with edges and corners) by stencil.
+	//
+	//amr:region state
+	ghostKey struct {
+		c mesh.Coord
+		g int
 	}
 	// sectKey is one transfer's section of a message buffer. dirKey is the
 	// direction+1, or 0 when buffers are shared across directions
@@ -65,12 +77,29 @@ type (
 // dependencies, and MPI operations are issued from tasks through the
 // task-aware MPI layer, overlapping phases without global barriers.
 func RunDataFlow(cfg Config, c *mpi.Comm, rec *trace.Recorder) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	s, err := newState(&cfg, c, rec, cfg.chunkCap())
+	d, err := newDataFlowDriver(&cfg, c, rec)
 	if err != nil {
 		return Result{}, err
+	}
+	res, err := runMain(d.s, d)
+	if err != nil {
+		return Result{}, err
+	}
+	res.TaskCount = d.g.SpawnCount()
+	d.g.Close()
+	d.s.close()
+	return res, nil
+}
+
+// newDataFlowDriver builds the rank's state and the graph engine that runs
+// its tasks.
+func newDataFlowDriver(cfg *Config, c *mpi.Comm, rec *trace.Recorder) (*dataFlowDriver, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	s, err := newState(cfg, c, rec, cfg.chunkCap())
+	if err != nil {
+		return nil, err
 	}
 	var obs task.Observer
 	if cfg.TaskObserver != nil {
@@ -83,20 +112,12 @@ func RunDataFlow(cfg Config, c *mpi.Comm, rec *trace.Recorder) (Result, error) {
 		DisableImmediateSuccessor: cfg.DisableImmediateSuccessor,
 		Sanitizer:                 cfg.Sanitizer,
 		Observer:                  obs,
-		ScratchLen:                scratchLen(&cfg),
+		ScratchLen:                scratchLen(cfg),
 	})
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	d := &dataFlowDriver{s: s, g: g}
-	res, err := runMain(s, d)
-	if err != nil {
-		return Result{}, err
-	}
-	res.TaskCount = g.SpawnCount()
-	g.Close()
-	s.close()
-	return res, nil
+	return &dataFlowDriver{s: s, g: g, groups: len(cfg.Groups())}, nil
 }
 
 type dataFlowDriver struct {
@@ -105,9 +126,24 @@ type dataFlowDriver struct {
 	// scratch buffers and the sanitizer/trace plumbing.
 	g *driver.GraphEngine
 
-	// unpacks is communicate's list of pending unpack tasks, kept for its
-	// storage.
+	// unpacks is communicate's list of pending unpack tasks; keys is the
+	// multidependency list of the task being spawned, which In copies. Both
+	// are kept for their storage.
 	unpacks []unpackJob
+	keys    []any
+
+	// What the driver derives from the mesh, valid for the state epoch
+	// planned (see plan): the fill plan and the boxed dependency keys, the
+	// interior and halo key of owned block i's group gi at own and
+	// halo[i*groups+gi]. A key is boxed on first use — the literal spelled in
+	// the function that spawns, where graphlint's extractor reads it — and
+	// its slot is never written again within the epoch: every later task that
+	// names the region shares the boxed value, and task bodies may read the
+	// tables while later stages are being spawned.
+	planned   int
+	groups    int
+	fill      fillPlan
+	own, halo []any
 
 	// Delayed-checksum state: two parities of per-block sum slots.
 	parity     int
@@ -136,35 +172,56 @@ func (d *dataFlowDriver) dirKey(dir grid.Dir) int {
 // groupIndex converts a group's first variable to its index.
 func (d *dataFlowDriver) groupIndex(g0 int) int { return g0 / d.s.cfg.CommVars }
 
-// communicate taskifies the ghost exchange (the paper's Algorithm 3): a
-// receive task per message binding the request, pack tasks per face, send
-// tasks per message with multidependencies on the packed sections, local
-// copy tasks, and unpack tasks fed by the receive's buffer sections.
+// plan brings what the driver derives from the mesh up to date: a no-op
+// within a mesh epoch. It runs on the spawning goroutine at the top of a
+// phase; the only rebuilds follow a refinement, which drained the graph,
+// so no task reads the storage it recycles.
+func (d *dataFlowDriver) plan() {
+	s := d.s
+	if d.planned == s.epoch {
+		return
+	}
+	d.planned = s.epoch
+	owned := s.owned()
+	d.fill.build(owned, &s.scheds)
+	d.own = resetKeys(d.own, len(owned)*d.groups)
+	d.halo = resetKeys(d.halo, len(owned)*d.groups)
+}
+
+// resetKeys returns keys emptied and resized to n entries.
+func resetKeys(keys []any, n int) []any {
+	keys = slices.Grow(keys[:0], n)[:n]
+	clear(keys)
+	return keys
+}
+
+// communicate taskifies the ghost exchange (the paper's Algorithm 3): per
+// direction a receive task per message binding the request, pack tasks per
+// face and send tasks per message with multidependencies on the packed
+// sections; then one fill task per block for everything that stays within
+// the rank; then the unpack tasks fed by the receives' buffer sections.
 //
 //amr:graph driver=dataflow phase=communicate seq=1
 //amr:par label=recv axis=msgs
 //amr:par label=pack axis=segs
 //amr:par label=send axis=msgs
-//amr:par label=local-copy axis=locals
-//amr:par label=boundary axis=bfaces
+//amr:par label=local-copy axis=blocks
 //amr:par label=unpack axis=msgs
 func (d *dataFlowDriver) communicate(g0, g1 int) error {
 	s := d.s
 	gv := g1 - g0
 	gi := d.groupIndex(g0)
+	d.plan()
 	// Refinement may have rebuilt the exchange plans with recycled
 	// storage; aliasing is only meaningful within one set of plans
 	// (with the sanitizer off this is a nil check).
 	d.g.ResetBindings()
+	// Pending unpack work of all three directions, spawned after the
+	// fills: an unpack waits for its message, and a block's halo tasks run
+	// in spawn order.
+	unpacks := d.unpacks[:0]
 	for dir := grid.DirX; dir <= grid.DirZ; dir++ {
-		sched := s.scheds[dir]
 		dk := d.dirKey(dir)
-
-		// Pending unpack work, spawned only after all pack tasks: packers
-		// must depend solely on the previous stage's stencil, never on
-		// this stage's arrivals, or two ranks exchanging faces would wait
-		// on each other (Algorithm 3 orders the phases the same way).
-		unpacks := d.unpacks[:0]
 
 		// Receives: one task per incoming message; its completion is
 		// bound to the MPI request, so unpackers run only once the
@@ -220,6 +277,8 @@ func (d *dataFlowDriver) communicate(g0, g1 int) error {
 		// MPI layer (the receiving rank returns it to the arena). The
 		// section keys — not the physical buffers — carry the paper's
 		// buffer-reuse dependencies, so chaining behaviour is unchanged.
+		// Packers read interiors only: they depend on the previous
+		// stage's stencil and on nothing of this stage.
 		for pi := range s.sendPlans[dir] {
 			pl := &s.sendPlans[dir][pi]
 			peer, mi, msg, tag := pl.peer, pl.mi, pl.msg, pl.tag
@@ -272,65 +331,113 @@ func (d *dataFlowDriver) communicate(g0, g1 int) error {
 				d.g.X.Iwait(t, req)
 			}, d.g.In(secs...)...)
 		}
-
-		// Intra-process exchanges: local copy tasks between neighbouring
-		// blocks of this rank.
-		for _, tr := range sched.Local {
-			src, dst := any(blockKey{c: tr.Src, g: gi}), any(blockKey{c: tr.Recv, g: gi})
-			d.g.Spawn("local-copy", func(t *task.Task) {
-				d.g.NoteRead(t, src)
-				d.g.NoteWrite(t, dst)
-				s.rec.Span(s.rank, t.Worker(), "local-copy", func() {
-					comm.ExecuteLocal(tr, s.data[tr.Src], s.data[tr.Recv], g0, g1, d.g.Scratch(t.Worker()))
-				})
-			}, d.g.Merge(
-				d.g.In(src),
-				d.g.InOut(dst),
-			)...)
-		}
-		for _, bf := range sched.Boundary {
-			blk := any(blockKey{c: bf.Block, g: gi})
-			d.g.Spawn("boundary", func(t *task.Task) {
-				d.g.NoteWrite(t, blk)
-				s.data[bf.Block].ApplyDomainBoundary(dir, bf.Side, g0, g1)
-			}, d.g.InOut(blk)...)
-		}
-
-		// Unpackers: consume the receive's buffer sections into block
-		// ghosts once the bound requests complete.
-		for _, uj := range unpacks {
-			dst := any(blockKey{c: uj.tr.Recv, g: gi})
-			d.g.Spawn("unpack", func(t *task.Task) {
-				d.g.NoteRead(t, uj.key)
-				d.g.NoteWrite(t, dst)
-				s.rec.Span(s.rank, t.Worker(), "unpack", func() {
-					comm.Unpack(uj.tr, s.data[uj.tr.Recv], g0, g1, uj.sec)
-				})
-			}, d.g.Merge(
-				d.g.In(uj.key),
-				d.g.InOut(dst),
-			)...)
-		}
-		d.unpacks = unpacks
 	}
+
+	d.fillGhosts(g0, g1)
+
+	// Unpackers: consume the receives' buffer sections into block ghosts
+	// once the bound requests complete.
+	for _, uj := range unpacks {
+		dst := any(ghostKey{c: uj.tr.Recv, g: gi})
+		d.g.Spawn("unpack", func(t *task.Task) {
+			d.g.NoteRead(t, uj.key)
+			d.g.NoteWrite(t, dst)
+			s.rec.Span(s.rank, t.Worker(), "unpack", func() {
+				comm.Unpack(uj.tr, s.data[uj.tr.Recv], g0, g1, uj.sec)
+			})
+		}, d.g.Merge(
+			d.g.In(uj.key),
+			d.g.InOut(dst),
+		)...)
+	}
+	d.unpacks = unpacks
 	return d.g.X.Err()
 }
 
-// stencil spawns one task per block, depending in-out on the block's
-// variable group so it naturally follows the ghost fills.
+// fillGhosts spawns the intra-rank exchange: one task per destination
+// block of the epoch's fill plan, running the local copies of all three
+// directions into the block and its domain-boundary faces. The face
+// kernels read only interiors and write disjoint ghost cells, so any order
+// gives the same bits. A fill reads the interiors of its sources and
+// writes the destination's halo; it keeps the label of the per-face copy
+// tasks it replaces, which is what traces and the benchmark fold it under.
+func (d *dataFlowDriver) fillGhosts(g0, g1 int) {
+	s, fp := d.s, &d.fill
+	gi := d.groupIndex(g0)
+	owned := s.owned()
+	var from fillBlock
+	for _, fb := range fp.blocks {
+		dst := s.data[owned[fb.owned]]
+		copies, faces := fp.copies[from.copies:fb.copies], fp.faces[from.faces:fb.faces]
+		srcIdx := fp.srcs[from.srcs:fb.srcs]
+		from = fb
+		srcs := d.keys[:0]
+		for _, j := range srcIdx {
+			src := d.own[j*d.groups+gi]
+			if src == nil {
+				src = any(blockKey{c: owned[j], g: gi})
+				d.own[j*d.groups+gi] = src
+			}
+			srcs = append(srcs, src)
+		}
+		d.keys = srcs
+		halo := d.halo[fb.owned*d.groups+gi]
+		if halo == nil {
+			halo = any(ghostKey{c: owned[fb.owned], g: gi})
+			d.halo[fb.owned*d.groups+gi] = halo
+		}
+		d.g.Spawn("local-copy", func(t *task.Task) {
+			for _, j := range srcIdx {
+				d.g.NoteRead(t, d.own[j*d.groups+gi])
+			}
+			d.g.NoteWrite(t, halo)
+			s.rec.Span(s.rank, t.Worker(), "local-copy", func() {
+				scratch := d.g.Scratch(t.Worker())
+				for _, tr := range copies {
+					comm.ExecuteLocal(tr, s.data[tr.Src], dst, g0, g1, scratch)
+				}
+				for _, f := range faces {
+					dst.ApplyDomainBoundary(f.dir, f.side, g0, g1)
+				}
+			})
+		}, d.g.Merge(
+			d.g.In(srcs...),
+			d.g.InOut(halo),
+		)...)
+	}
+}
+
+// stencil spawns one task per block, in-out on the block's interior and
+// halo, so it naturally follows the ghost fills and the next stage's
+// fills, packs and unpacks follow it. The halo is in-out although the
+// 7-point kernel only reads it: the 27-point one first completes it with
+// edges and corners.
 //
 //amr:graph driver=dataflow phase=stencil seq=2
 //amr:par label=stencil axis=blocks
 func (d *dataFlowDriver) stencil(g0, g1 int) error {
 	s := d.s
 	gi := d.groupIndex(g0)
-	for _, bc := range s.owned() {
+	d.plan()
+	for i, bc := range s.owned() {
 		blk := s.data[bc]
-		key := any(blockKey{c: bc, g: gi})
+		own, halo := d.own[i*d.groups+gi], d.halo[i*d.groups+gi]
+		if own == nil {
+			own = any(blockKey{c: bc, g: gi})
+			d.own[i*d.groups+gi] = own
+		}
+		if halo == nil {
+			halo = any(ghostKey{c: bc, g: gi})
+			d.halo[i*d.groups+gi] = halo
+		}
 		d.g.Spawn("stencil", func(t *task.Task) {
-			d.g.NoteWrite(t, key)
+			d.g.NoteRead(t, halo)
+			if s.cfg.Stencil == 27 {
+				d.g.NoteWrite(t, halo)
+			}
+			d.g.NoteWrite(t, own)
 			s.rec.Span(s.rank, t.Worker(), "stencil", func() { s.runStencil(blk, g0, g1) })
-		}, d.g.InOut(key)...)
+		}, d.g.InOut(own, halo)...)
 		s.flops += s.stencilFlops(blk, g0, g1)
 	}
 	return nil
@@ -347,21 +454,27 @@ func (d *dataFlowDriver) checksum() error {
 	par := d.parity
 	d.parity ^= 1
 
+	d.plan()
 	owned := s.owned()
 	d.slots[par] = make(map[mesh.Coord][]float64, len(owned))
 	d.slotBlocks[par] = owned
-	groups := s.cfg.Groups()
-	for _, bc := range owned {
+	for i, bc := range owned {
 		slot := s.arena.GetFloat64(s.cfg.Vars) // Checksum overwrites it
 		d.slots[par][bc] = slot
 		blk := s.data[bc]
-		deps := make([]any, 0, len(groups))
-		for gi := range groups {
-			deps = append(deps, blockKey{c: bc, g: gi})
+		deps := d.keys[:0]
+		for gi := 0; gi < d.groups; gi++ {
+			dep := d.own[i*d.groups+gi]
+			if dep == nil {
+				dep = any(blockKey{c: bc, g: gi})
+				d.own[i*d.groups+gi] = dep
+			}
+			deps = append(deps, dep)
 		}
+		d.keys = deps
 		sum := any(slotKey{c: bc, parity: par})
 		d.g.Spawn("cksum-local", func(t *task.Task) {
-			for _, dep := range deps {
+			for _, dep := range d.own[i*d.groups : (i+1)*d.groups] {
 				d.g.NoteRead(t, dep)
 			}
 			d.g.NoteWrite(t, sum)

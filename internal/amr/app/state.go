@@ -29,6 +29,12 @@ type state struct {
 
 	chunkCap int // message chunking mode of the running variant
 
+	// epoch counts rebuildComm calls: what a driver derives from the mesh or
+	// the schedules below is valid while it stands. ownedList is the rank's
+	// blocks in deterministic order, derived the same way.
+	epoch     int
+	ownedList []mesh.Coord
+
 	scheds [3]*comm.Schedule
 	// sendPlans and recvPlans are the chunked ghost messages of each
 	// direction, derived once per mesh epoch: the per-stage hot paths walk
@@ -159,6 +165,8 @@ func (s *state) releaseBlock(d *grid.Data) {
 // communication buffers, required after every mesh mutation.
 func (s *state) rebuildComm() error {
 	s.releaseRecvBufs()
+	s.epoch++
+	s.ownedList = s.msh.Owned(s.rank)
 	for dir := grid.DirX; dir <= grid.DirZ; dir++ {
 		sched, err := comm.BuildSchedule(s.msh, s.rank, dir, s.cfg.BlockSize)
 		if err != nil {
@@ -208,8 +216,9 @@ func (s *state) close() {
 	s.releaseRecvBufs()
 }
 
-// owned returns the rank's blocks in deterministic order.
-func (s *state) owned() []mesh.Coord { return s.msh.Owned(s.rank) }
+// owned returns the rank's blocks in deterministic order: the list
+// rebuildComm cached, shared by every caller and not to be modified.
+func (s *state) owned() []mesh.Coord { return s.ownedList }
 
 // blockAt resolves an owned coordinate to its block data, the source/dst
 // resolver for comm.PackMessage and comm.UnpackMessage.

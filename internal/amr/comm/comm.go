@@ -63,6 +63,9 @@ type PeerExchange struct {
 }
 
 // Schedule is the complete exchange plan of one rank in one direction.
+// Local and Boundary list their entries by receiving block, the blocks in
+// the order of mesh.Owned: all entries of one block are adjacent, so a
+// consumer can regroup the three directions per block with one cursor each.
 type Schedule struct {
 	Rank     int
 	Dir      grid.Dir
@@ -91,10 +94,11 @@ func BuildSchedule(m *mesh.Mesh, rank int, dir grid.Dir, size grid.Size) (*Sched
 
 	// Canonical order: all leaves sorted, Low face then High face, then the
 	// neighbour order returned by the mesh.
+	var nb [4]mesh.Neighbor
 	for _, b := range m.Leaves() {
 		ownerB := m.Owner(b)
 		for _, side := range []grid.Side{grid.Low, grid.High} {
-			ns, err := m.Neighbors(b, dir, side)
+			ns, err := m.Neighbors(b, dir, side, &nb)
 			if err != nil {
 				return nil, fmt.Errorf("comm: building schedule: %w", err)
 			}

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -128,6 +129,42 @@ func TestScheduleCoversEveryFaceOnce(t *testing.T) {
 				if got := quarters[c][side]; got != 4 {
 					t.Errorf("dir %v: block %v side %v filled %d/4 quarters", dir, c, side, got)
 				}
+			}
+		}
+	}
+}
+
+// TestScheduleGroupsLocalAndBoundaryByBlock pins the order Schedule
+// documents for Local and Boundary: ascending receiving block, as in
+// mesh.Owned.
+func TestScheduleGroupsLocalAndBoundaryByBlock(t *testing.T) {
+	const ranks = 3
+	m := buildTestMesh(t, ranks)
+	for dir := grid.DirX; dir <= grid.DirZ; dir++ {
+		for r := 0; r < ranks; r++ {
+			s, err := BuildSchedule(m, r, dir, testSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var local, bound []mesh.Coord
+			for _, tr := range s.Local {
+				local = append(local, tr.Recv)
+			}
+			for _, bf := range s.Boundary {
+				bound = append(bound, bf.Block)
+			}
+			for name, blocks := range map[string][]mesh.Coord{"Local": local, "Boundary": bound} {
+				if !slices.IsSortedFunc(blocks, mesh.Coord.Compare) {
+					t.Errorf("dir %v rank %d: %s is not in owned-block order: %v", dir, r, name, blocks)
+				}
+				for _, b := range blocks {
+					if !slices.Contains(m.Owned(r), b) {
+						t.Errorf("dir %v rank %d: %s names %v, which the rank does not own", dir, r, name, b)
+					}
+				}
+			}
+			if len(local)+len(bound) == 0 {
+				t.Errorf("dir %v rank %d: nothing to check", dir, r)
 			}
 		}
 	}

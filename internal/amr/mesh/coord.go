@@ -17,8 +17,9 @@
 package mesh
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Coord identifies a block by refinement level and logical position. At
@@ -57,20 +58,16 @@ func (c Coord) Octant() int {
 	return c.X&1 | (c.Y&1)<<1 | (c.Z&1)<<2
 }
 
-// Less orders coordinates totally (level, then x, y, z); the deterministic
-// iteration order used everywhere a map would otherwise be ranged.
-func (c Coord) Less(o Coord) bool {
-	if c.Level != o.Level {
-		return c.Level < o.Level
-	}
-	if c.X != o.X {
-		return c.X < o.X
-	}
-	if c.Y != o.Y {
-		return c.Y < o.Y
-	}
-	return c.Z < o.Z
+// Compare orders coordinates totally (level, then x, y, z): negative when c
+// sorts before o, zero when they are equal. It is the deterministic
+// iteration order used everywhere a map would otherwise be ranged, and what
+// a binary search over Leaves or Owned compares with.
+func (c Coord) Compare(o Coord) int {
+	return cmp.Or(cmp.Compare(c.Level, o.Level), cmp.Compare(c.X, o.X), cmp.Compare(c.Y, o.Y), cmp.Compare(c.Z, o.Z))
 }
+
+// Less reports whether c sorts before o.
+func (c Coord) Less(o Coord) bool { return c.Compare(o) < 0 }
 
 // component returns the coordinate along dimension d (0=x, 1=y, 2=z).
 func (c Coord) component(d int) int {
@@ -97,7 +94,5 @@ func (c Coord) withComponent(d, v int) Coord {
 	return c
 }
 
-// sortCoords sorts in place by Less.
-func sortCoords(cs []Coord) {
-	sort.Slice(cs, func(i, j int) bool { return cs[i].Less(cs[j]) })
-}
+// sortCoords sorts in place by Compare.
+func sortCoords(cs []Coord) { slices.SortFunc(cs, Coord.Compare) }

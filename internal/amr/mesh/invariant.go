@@ -56,10 +56,11 @@ func (m *Mesh) CheckInvariants() error {
 	}
 
 	// 3. Face coverage within one level.
+	var nb [4]Neighbor
 	for c := range m.blocks {
 		for dir := grid.DirX; dir <= grid.DirZ; dir++ {
 			for _, side := range []grid.Side{grid.Low, grid.High} {
-				if _, err := m.Neighbors(c, dir, side); err != nil {
+				if _, err := m.Neighbors(c, dir, side, &nb); err != nil {
 					return fmt.Errorf("mesh: 2:1 balance violated: %w", err)
 				}
 			}

@@ -215,9 +215,10 @@ func inPlane(dir grid.Dir) (int, int) {
 
 // Neighbors returns the leaves adjacent to the given face of c, or nil for
 // a domain boundary. With 2:1 balance the result is one Same neighbour, one
-// Coarser neighbour, or four Finer neighbours. An error reports a corrupted
-// mesh (no cover across the face).
-func (m *Mesh) Neighbors(c Coord, dir grid.Dir, side grid.Side) ([]Neighbor, error) {
+// Coarser neighbour, or four Finer neighbours; it is a prefix of buf, the
+// caller's storage, so walking a mesh's faces allocates nothing. An error
+// reports a corrupted mesh (no cover across the face).
+func (m *Mesh) Neighbors(c Coord, dir grid.Dir, side grid.Side, buf *[4]Neighbor) ([]Neighbor, error) {
 	d := int(dir)
 	delta := 1
 	if side == grid.Low {
@@ -228,7 +229,8 @@ func (m *Mesh) Neighbors(c Coord, dir grid.Dir, side grid.Side) ([]Neighbor, err
 		return nil, nil // domain boundary
 	}
 	if m.Has(nc) {
-		return []Neighbor{{Coord: nc, Rel: Same}}, nil
+		buf[0] = Neighbor{Coord: nc, Rel: Same}
+		return buf[:1], nil
 	}
 	u, w := inPlane(dir)
 	if c.Level > 0 {
@@ -236,12 +238,13 @@ func (m *Mesh) Neighbors(c Coord, dir grid.Dir, side grid.Side) ([]Neighbor, err
 		if m.Has(p) {
 			// We cover the quarter of the coarse face given by our position
 			// within our parent along the in-plane dimensions.
-			return []Neighbor{{
+			buf[0] = Neighbor{
 				Coord: p,
 				Rel:   Coarser,
 				Qu:    c.component(u) & 1,
 				Qw:    c.component(w) & 1,
-			}}, nil
+			}
+			return buf[:1], nil
 		}
 	}
 	if c.Level < m.cfg.MaxLevel {
@@ -251,7 +254,6 @@ func (m *Mesh) Neighbors(c Coord, dir grid.Dir, side grid.Side) ([]Neighbor, err
 		if side == grid.Low {
 			fixedBit = 1
 		}
-		var out []Neighbor
 		for bu := 0; bu < 2; bu++ {
 			for bw := 0; bw < 2; bw++ {
 				f := Coord{Level: nc.Level + 1}
@@ -261,10 +263,10 @@ func (m *Mesh) Neighbors(c Coord, dir grid.Dir, side grid.Side) ([]Neighbor, err
 				if !m.Has(f) {
 					return nil, fmt.Errorf("mesh: face %v/%v of %v not covered: expected finer leaf %v", dir, side, c, f)
 				}
-				out = append(out, Neighbor{Coord: f, Rel: Finer, Qu: bu, Qw: bw})
+				buf[bu<<1|bw] = Neighbor{Coord: f, Rel: Finer, Qu: bu, Qw: bw}
 			}
 		}
-		return out, nil
+		return buf[:], nil
 	}
 	return nil, fmt.Errorf("mesh: face %v/%v of %v not covered by any leaf", dir, side, c)
 }

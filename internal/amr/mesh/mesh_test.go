@@ -103,11 +103,12 @@ func TestUniformMesh(t *testing.T) {
 func TestNeighborsSameLevelAndBoundary(t *testing.T) {
 	m := uniform(t, [3]int{2, 2, 2}, 2)
 	c := Coord{Level: 0, X: 0, Y: 0, Z: 0}
-	ns, err := m.Neighbors(c, grid.DirX, grid.High)
+	var nb [4]Neighbor
+	ns, err := m.Neighbors(c, grid.DirX, grid.High, &nb)
 	if err != nil || len(ns) != 1 || ns[0].Rel != Same || ns[0].Coord != (Coord{0, 1, 0, 0}) {
 		t.Errorf("same-level neighbor: %v %v", ns, err)
 	}
-	ns, err = m.Neighbors(c, grid.DirX, grid.Low)
+	ns, err = m.Neighbors(c, grid.DirX, grid.Low, &nb)
 	if err != nil || ns != nil {
 		t.Errorf("domain boundary: %v %v", ns, err)
 	}
@@ -133,7 +134,8 @@ func TestNeighborsAcrossLevels(t *testing.T) {
 
 	// Coarse block looking +x: four finer neighbours, each with its
 	// quarter-face quadrant.
-	ns, err := m.Neighbors(coarse, grid.DirX, grid.High)
+	var nb [4]Neighbor
+	ns, err := m.Neighbors(coarse, grid.DirX, grid.High, &nb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +162,7 @@ func TestNeighborsAcrossLevels(t *testing.T) {
 
 	// Fine block looking -x: one coarser neighbour with our quadrant.
 	fine := Coord{Level: 1, X: 2, Y: 1, Z: 1}
-	ns, err = m.Neighbors(fine, grid.DirX, grid.Low)
+	ns, err = m.Neighbors(fine, grid.DirX, grid.Low, &nb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,9 +174,20 @@ func TestNeighborsAcrossLevels(t *testing.T) {
 	}
 
 	// Fine block looking +x within the refined region: same-level sibling.
-	ns, err = m.Neighbors(Coord{Level: 1, X: 2, Y: 0, Z: 0}, grid.DirX, grid.High)
+	ns, err = m.Neighbors(Coord{Level: 1, X: 2, Y: 0, Z: 0}, grid.DirX, grid.High, &nb)
 	if err != nil || len(ns) != 1 || ns[0].Rel != Same {
 		t.Errorf("sibling neighbour: %v %v", ns, err)
+	}
+
+	// The result lives in the caller's array: walking faces allocates nothing.
+	if n := testing.AllocsPerRun(100, func() {
+		for _, side := range [2]grid.Side{grid.Low, grid.High} {
+			if _, err := m.Neighbors(coarse, grid.DirX, side, &nb); err != nil {
+				t.Error(err)
+			}
+		}
+	}); n != 0 {
+		t.Errorf("Neighbors allocates %v objects per walk, want 0", n)
 	}
 }
 

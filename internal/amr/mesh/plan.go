@@ -41,13 +41,14 @@ func (m *Mesh) PlanRefinement(marks map[Coord]int8) (*Plan, error) {
 
 	// Fixpoint: both passes only ever raise targets, so the loop
 	// terminates (each target is bounded by level+1).
+	var nb [4]Neighbor
 	for changed := true; changed; {
 		changed = false
 		// 2:1 balance across faces of the current mesh.
 		for _, a := range leaves {
 			for dir := grid.DirX; dir <= grid.DirZ; dir++ {
 				for _, side := range []grid.Side{grid.Low, grid.High} {
-					ns, err := m.Neighbors(a, dir, side)
+					ns, err := m.Neighbors(a, dir, side, &nb)
 					if err != nil {
 						return nil, fmt.Errorf("mesh: planning on corrupted mesh: %w", err)
 					}

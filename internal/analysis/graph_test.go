@@ -67,18 +67,30 @@ func TestGraphStructure(t *testing.T) {
 	}
 	edges := make(map[string]string)
 	for _, e := range df.Edges {
-		edges[e.From+" -> "+e.To] = e.Kind
+		edges[e.From+" -> "+e.To] = e.Kind + " " + e.Region
 	}
-	wantFlow := []string{
-		"communicate/pack -> communicate/send",
-		"communicate/recv -> communicate/unpack",
-		"communicate/unpack -> stencil/stencil",
-		"stencil/stencil -> checksum/cksum-local",
+	// A block is two regions: the halo carries the ghost exchange into the
+	// stencil, the interior the stencil's result into the next readers. The
+	// stencil may not overwrite an interior that a neighbour's fill or a
+	// pack still reads.
+	want := map[string]string{
+		"communicate/pack -> communicate/send":         "flow sectKey",
+		"communicate/recv -> communicate/unpack":       "flow sectKey",
+		"communicate/local-copy -> communicate/unpack": "flow ghostKey",
+		"communicate/unpack -> stencil/stencil":        "flow ghostKey",
+		"communicate/pack -> stencil/stencil":          "anti blockKey",
+		"communicate/local-copy -> stencil/stencil":    "anti blockKey",
+		"stencil/stencil -> checksum/cksum-local":      "flow blockKey",
 	}
-	for _, w := range wantFlow {
-		if edges[w] != "flow" {
-			t.Errorf("edge %q: got kind %q, want flow", w, edges[w])
+	for e, kind := range want {
+		if edges[e] != kind {
+			t.Errorf("edge %q: got %q, want %q", e, edges[e], kind)
 		}
+	}
+	// Packs read interiors and fills write halos: with one region per block
+	// each fill waited for the packs of its block.
+	if kind, ok := edges["communicate/pack -> communicate/local-copy"]; ok {
+		t.Errorf("false dependency pack -> local-copy (%s) is back", kind)
 	}
 	for _, g := range graphs {
 		for _, n := range g.Nodes {

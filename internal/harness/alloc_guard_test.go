@@ -1,25 +1,47 @@
 package harness
 
 import (
+	"math"
+	"sync/atomic"
 	"testing"
 
 	"miniamr/internal/hydro"
 	"miniamr/internal/simnet"
+	"miniamr/internal/task"
 )
 
-// dataFlowAllocsPerTask is the data-flow variant's end-to-end allocation
-// budget: heap objects of a whole run (mesh, plans, refinement and all)
-// per task spawned. A task needs its body closure and the boxed struct
-// keys it declares; the runtime (task records, successor lists, access
-// lists) and the task-aware MPI binding add a fraction of an object on
-// top. The goroutine-per-task runtime with per-spawn access lists sat at
-// 14 on miniAMR and 10 on HYDRO.
-const dataFlowAllocsPerTask = 6
+// stencilCounter is a task observer that counts the stencil tasks of a
+// run: one per owned block and stage, the unit the per-stage task budget
+// is expressed in.
+type stencilCounter struct{ n atomic.Int64 }
 
-// TestDataFlowAllocsPerTask guards that budget at the shapes of the
-// benchmark's runtime-bound workloads: miniAMR on small blocks at level 3
-// with the paper's data-flow options, and HYDRO on 16x16 tiles with
-// separate buffers, both as 2 ranks x 2 cores.
+func (c *stencilCounter) TaskSpawned(_ uint64, label string, _ []task.Access) {
+	if label == "stencil" {
+		c.n.Add(1)
+	}
+}
+func (c *stencilCounter) TaskDependence(uint64, uint64) {}
+func (c *stencilCounter) TaskFinished(uint64)           {}
+func (c *stencilCounter) Quiesced()                     {}
+
+// TestDataFlowAllocsPerTask guards the data-flow variant's end-to-end
+// allocation budget — heap objects of a whole run (mesh, plans, refinement
+// and all) per task spawned — at the shapes of the benchmark's
+// runtime-bound workloads, all as 2 ranks x 2 cores: miniAMR on small
+// blocks at level 3 with the paper's data-flow options, the same refining
+// after every single-stage timestep, and HYDRO on 16x16 tiles with
+// separate buffers. A task needs its body closure; the keys it declares
+// are boxed once per mesh epoch, and the runtime (task records, successor
+// lists, access lists) and the task-aware MPI binding add a fraction of an
+// object on top. The budgets are the benchmark's readings when the ghost
+// exchange became one fill task per block (1.9, 5.7, 1.1) plus headroom:
+// per-face copy tasks sat at 3.3, 9.1 and 1.1, the goroutine-per-task
+// runtime before them at 14, 19 and 10.
+//
+// On miniAMR it also guards the granularity: tasks per block and stage.
+// Stencil, fill and the block's share of messages and checksums make 2.6;
+// a task per copied face made 7.9, most of them below the runtime's
+// minimum effective task granularity.
 func TestDataFlowAllocsPerTask(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation budget needs full-size runs")
@@ -27,27 +49,57 @@ func TestDataFlowAllocsPerTask(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")
 	}
-	fine := FourSpheres([3]int{2, 2, 1}, Scale{BlockCells: 6, Vars: 4, Timesteps: 4, StagesPerTimestep: 10, MaxLevel: 3})
+	root := [3]int{2, 2, 1}
+	fine := FourSpheres(root, Scale{BlockCells: 6, Vars: 4, Timesteps: 4, StagesPerTimestep: 10, MaxLevel: 3})
 	DataFlowOptions(&fine)
+	refine := FourSpheres(root, Scale{BlockCells: 8, Vars: 8, Timesteps: 8, StagesPerTimestep: 1, MaxLevel: 3})
+	DataFlowOptions(&refine)
+	refine.RefineEvery, refine.ChecksumEvery = 1, 4
+	for i := range refine.Objects {
+		o := &refine.Objects[i]
+		o.Move[0] = math.Copysign(0.12, o.Move[0])
+		o.Bounce = true
+	}
+	const tasksPerBlockStage = 2.7
+	var stencils stencilCounter
+	fine.TaskObserver = func(int) task.Observer { return &stencils }
 	tiles := hydro.Job(hydro.Config{
 		NX: 256, NY: 256, TilesX: 16, TilesY: 16,
 		Timesteps: 20, ChecksumEvery: 4, SeparateBuffers: true,
 	})
-	for name, spec := range map[string]RunSpec{
-		"miniamr-fine": {Cfg: fine},
-		"hydro-tiles":  {Job: tiles},
+	for _, tc := range []struct {
+		name     string
+		spec     RunSpec
+		budget   float64
+		stencils *stencilCounter // set where the granularity is guarded too
+	}{
+		{"miniamr-fine", RunSpec{Cfg: fine}, 3, &stencils},
+		{"miniamr-refine", RunSpec{Cfg: refine}, 7, nil},
+		{"hydro-tiles", RunSpec{Job: tiles}, 3, nil},
 	} {
+		spec := tc.spec
 		spec.Nodes, spec.RanksPerNode, spec.CoresPerRank = 1, 2, 2
 		spec.Net, spec.Variant = simnet.None(), DataFlow
 		m, err := Run(spec)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if per := float64(m.HeapAllocs) / float64(m.Tasks); per > dataFlowAllocsPerTask {
-			t.Errorf("%s: %.2f heap objects per task (%d / %d tasks), want <= %d",
-				name, per, m.HeapAllocs, m.Tasks, dataFlowAllocsPerTask)
+		if per := float64(m.HeapAllocs) / float64(m.Tasks); per > tc.budget {
+			t.Errorf("%s: %.2f heap objects per task (%d / %d tasks), want <= %v",
+				tc.name, per, m.HeapAllocs, m.Tasks, tc.budget)
 		} else {
-			t.Logf("%s: %.2f heap objects per task", name, per)
+			t.Logf("%s: %.2f heap objects per task", tc.name, per)
+		}
+		if tc.stencils == nil {
+			continue
+		}
+		if n := tc.stencils.n.Load(); n == 0 {
+			t.Errorf("%s: no stencil task seen", tc.name)
+		} else if per := float64(m.Tasks) / float64(n); per > tasksPerBlockStage {
+			t.Errorf("%s: %.2f tasks per block and stage (%d / %d stencils), want <= %v",
+				tc.name, per, m.Tasks, n, tasksPerBlockStage)
+		} else {
+			t.Logf("%s: %.2f tasks per block and stage", tc.name, per)
 		}
 	}
 }

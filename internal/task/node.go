@@ -24,7 +24,7 @@ type Task struct {
 	suspended bool    // queued by Suspend, waiting for a worker to free a core
 	waiter    bool    // a WaitAccess pseudo-task
 	next      *Task   // ready-queue or free-list link
-	succs     []*Task // backed by inline until a fifth successor arrives
+	succs     []*Task // backed by inline until a fifth successor arrives, then kept across recycling
 	inline    [4]*Task
 
 	// events counts outstanding completion obligations: 1 for the body
@@ -35,7 +35,6 @@ type Task struct {
 	id     uint64 // spawn-ordered task id; 0 for WaitAccess pseudo-tasks
 	rt     *Runtime
 	body   func(t *Task)
-	label  string
 }
 
 // push appends a ready or resuming task to the FIFO queue. Caller holds rt.mu.
@@ -137,8 +136,9 @@ func (rt *Runtime) finish(n *Task, keep bool) (next *Task) {
 			rt.push(s)
 		}
 	}
-	// Drop the edges so a finished record keeps no later task reachable.
-	n.succs, n.inline = nil, [len(n.inline)]*Task{}
+	// Drop the edges, not a grown list: a record keeps no later task reachable.
+	clear(n.succs)
+	n.succs, n.inline = n.succs[:0], [len(n.inline)]*Task{}
 	if rt.live--; rt.live == 0 {
 		rt.cond.Broadcast()
 	}
@@ -147,9 +147,6 @@ func (rt *Runtime) finish(n *Task, keep bool) (next *Task) {
 	}
 	return next
 }
-
-// Label returns the label the task was spawned with.
-func (t *Task) Label() string { return t.label }
 
 // ID returns the task's runtime-unique id (positive, in spawn order), the
 // identity the sanitizer's access notes attach to.

@@ -290,16 +290,89 @@ func TestSpawnRecyclesTaskRecords(t *testing.T) {
 	for i := 0; i < 20; i++ { // warm up: size the pool and the reader lists
 		batch()
 	}
-	const batches = 100
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < batches; i++ {
-		batch()
-	}
-	runtime.ReadMemStats(&after)
 	// Each taskwait allocates its pseudo-task and access list; nothing else
 	// should.
-	if per := float64(after.Mallocs-before.Mallocs) / batches; per > 5 {
+	if per := mallocsPer(100, batch); per > 5 {
 		t.Errorf("%.1f allocations per batch of 300 spawns in the steady state, want only the taskwait's", per)
+	}
+}
+
+// mallocsPer runs f n times and returns the heap objects allocated per run.
+func mallocsPer(n int, f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(n)
+}
+
+// Wait recycles the records the dependency map still names when it drops
+// the map: a driver that waits every stage (refinement every timestep) spawns
+// the next stage into the same records. What a spawn/wait cycle still
+// allocates is the map's own state, one entry per key used.
+func TestWaitRecyclesNamedTaskRecords(t *testing.T) {
+	rt := MustNewRuntime(Options{Workers: 2})
+	defer rt.Shutdown()
+	body := func(*Task) {}
+	const keys = 100 // small ints box without allocating
+	var accs [keys][]Access
+	for k := range accs {
+		accs[k] = Out(k)
+	}
+	cycle := func() {
+		for k := range accs { // every record is its key's last writer at Wait
+			rt.Spawn("w", body, accs[k]...)
+		}
+		rt.Wait()
+	}
+	for i := 0; i < 10; i++ {
+		cycle()
+	}
+	if per := mallocsPer(50, cycle); per > keys+5 {
+		t.Errorf("%.1f allocations per cycle of %d spawns on %d keys, want the %d map entries only", per, keys, keys, keys)
+	}
+
+	// Nothing is left to allocate when the tasks name no key.
+	free := func() {
+		for i := 0; i < keys; i++ {
+			rt.Spawn("i", body)
+		}
+		rt.Wait()
+	}
+	free()
+	if per := mallocsPer(50, free); per > 1 {
+		t.Errorf("%.1f allocations per cycle of independent spawns, want none", per)
+	}
+}
+
+// A record keeps the successor list it grew past the inline slots when it is
+// recycled: with one fill task per block reading six neighbours, a stencil
+// releases more than four successors at every stage.
+func TestRecycledRecordsKeepGrownSuccessorLists(t *testing.T) {
+	rt := MustNewRuntime(Options{Workers: 1})
+	defer rt.Shutdown()
+	body := func(*Task) {}
+	w, r := Out("fan"), In("fan")
+	batch := func() {
+		release := make(chan struct{})
+		gated(rt, release) // the writers collect their successors before they run
+		for i := 0; i < 8; i++ {
+			rt.Spawn("w", body, w...)
+			for j := 0; j < 11; j++ { // with the next writer: 12 successors
+				rt.Spawn("r", body, r...)
+			}
+		}
+		close(release)
+		rt.WaitKeys("fan")
+	}
+	for i := 0; i < 60; i++ { // until every record of the pool has served as a writer
+		batch()
+	}
+	// The gate's two channels and closure, the taskwait's pseudo-task and
+	// access list; dropped successor lists would add two per writer.
+	if per := mallocsPer(50, batch); per > 8 {
+		t.Errorf("%.1f allocations per batch of 8 writers with 12 successors each, want only the gate's and the taskwait's", per)
 	}
 }

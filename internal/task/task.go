@@ -183,13 +183,13 @@ func (rt *Runtime) Spawn(label string, body func(t *Task), accs ...Access) {
 	n := rt.free
 	if n == nil {
 		n = new(Task)
+		n.succs = n.inline[:0]
 	} else {
 		rt.free = n.next
 	}
 	rt.spawned++
 	rt.live++
-	*n = Task{rt: rt, label: label, body: body, id: uint64(rt.spawned)}
-	n.succs = n.inline[:0]
+	*n = Task{rt: rt, body: body, id: uint64(rt.spawned), succs: n.succs}
 	n.events.Store(1) // the body itself
 	if rt.obs != nil {
 		rt.obs.TaskSpawned(n.id, label, accs)
@@ -259,8 +259,14 @@ func (rt *Runtime) quiesce(stop bool) {
 	for rt.live > 0 {
 		rt.cond.Wait()
 	}
-	// All dependency state now names finished tasks: drop it, bounding
-	// memory across refinement epochs that retire old block keys.
+	// All dependency state now names finished tasks: recycle their records and
+	// drop it, bounding memory across refinement epochs that retire block keys.
+	for _, st := range rt.deps {
+		rt.unref(st.lastWriter)
+		for _, r := range st.readers {
+			rt.unref(r)
+		}
+	}
 	clear(rt.deps)
 	if rt.obs != nil {
 		rt.obs.Quiesced()

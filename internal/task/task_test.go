@@ -388,9 +388,6 @@ func TestTaskHandleAccessors(t *testing.T) {
 	rt := MustNewRuntime(Options{Workers: 2})
 	defer rt.Shutdown()
 	rt.Spawn("labelled", func(tk *Task) {
-		if tk.Label() != "labelled" {
-			t.Errorf("Label = %q", tk.Label())
-		}
 		if w := tk.Worker(); w < 0 || w >= 2 {
 			t.Errorf("Worker = %d out of range", w)
 		}
