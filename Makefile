@@ -4,14 +4,14 @@
 
 GO ?= go
 RACE_PKGS := ./internal/mpi ./internal/task ./internal/tampi ./internal/membuf \
-	./internal/simnet ./internal/amr/app ./internal/driver ./internal/hydro \
-	./internal/harness ./internal/wire
+	./internal/simnet ./internal/amr/grid ./internal/amr/app ./internal/driver \
+	./internal/hydro ./internal/harness ./internal/wire
 
 GOLDEN_DIR := internal/analysis/testdata/golden
 PERF_GOLDEN_DIR := $(GOLDEN_DIR)/perf
 GRAPH_PKGS := ./internal/amr/app ./internal/hydro
 
-.PHONY: test vet fmt-check lint graph golden perf sanitize chaos race transport bench-test check bench
+.PHONY: test vet fmt-check lint graph golden perf sanitize chaos race transport bench-test check
 
 test:
 	$(GO) build ./...
@@ -93,17 +93,3 @@ bench-test:
 	cd bench && $(GO) test ./...
 
 check: vet fmt-check lint test perf sanitize chaos race transport bench-test
-
-# Performance trajectory: the allocation benchmarks of the pooled message
-# path plus end-to-end driver runs of both applications, recorded as one
-# machine-readable JSON document (BENCH_<n>.json, committed per PR) and
-# gated against the previous PR's document: any allocs/op increase fails,
-# and a >10% ns/op slowdown fails when both documents carry sampled
-# medians (benchjson records median-of-5; a legacy single-sample baseline
-# makes ns/op informational — one sample of a handoff-bound benchmark is
-# noise in either direction).
-BENCH_BASE := BENCH_9.json
-BENCH_OUT := BENCH_10.json
-bench:
-	$(GO) run ./cmd/benchjson -benchtime 20000x -o $(BENCH_OUT)
-	$(GO) run ./cmd/benchjson -compare $(BENCH_BASE) $(BENCH_OUT)

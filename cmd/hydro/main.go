@@ -49,7 +49,8 @@ func main() {
 		sanitizeOn  = flag.Bool("sanitize", false, "run under the amrsan runtime sanitizer (also AMRSAN=1); findings go to stderr and exit status 1")
 		chaosOn     = flag.Bool("chaos", false, "inject a seeded fault schedule and run the MPI layer's retransmit/ack path")
 		chaosSeed   = flag.Uint64("chaos-seed", 1, "seed of the fault schedule (with -chaos)")
-		ranksRemote = flag.Int("ranks-remote", 0, "split the world across this many OS processes connected by the TCP wire transport (0: one process; incompatible with -trace and -sanitize)")
+		ranksRemote = flag.Int("ranks-remote", 0, "split the world across this many OS processes connected by the TCP wire transport (0: one process; incompatible with -trace, -sanitize and -cpuprofile)")
+		cpuProfile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file (read it with go tool pprof; in-process runs only)")
 	)
 	flag.Parse()
 
@@ -85,7 +86,7 @@ func main() {
 	spec := harness.RunSpec{
 		Nodes: *nodes, RanksPerNode: *ranksPerNode, CoresPerRank: *coresPerRank,
 		Net: net, Job: hydro.Job(cfg), Variant: harness.Variant(*variant),
-		Recorder: rec, Sanitize: *sanitizeOn, Procs: *ranksRemote,
+		Recorder: rec, Sanitize: *sanitizeOn, Procs: *ranksRemote, CPUProfile: *cpuProfile,
 	}
 	if *chaosOn {
 		faults := simnet.DefaultFaults(*chaosSeed)

@@ -63,7 +63,8 @@ func main() {
 		sanitizeOn  = flag.Bool("sanitize", false, "run under the amrsan runtime sanitizer (also AMRSAN=1); findings go to stderr and exit status 1")
 		chaosOn     = flag.Bool("chaos", false, "inject a seeded fault schedule (drops, duplicates, latency spikes, partitions, stalls) and run the MPI layer's retransmit/ack path")
 		chaosSeed   = flag.Uint64("chaos-seed", 1, "seed of the fault schedule (with -chaos); the same seed reproduces the same injected-event log")
-		ranksRemote = flag.Int("ranks-remote", 0, "split the world across this many OS processes connected by the TCP wire transport (0: one process; incompatible with -trace and -sanitize)")
+		ranksRemote = flag.Int("ranks-remote", 0, "split the world across this many OS processes connected by the TCP wire transport (0: one process; incompatible with -trace, -sanitize and -cpuprofile)")
+		cpuProfile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file (read it with go tool pprof; in-process runs only)")
 	)
 	flag.Parse()
 
@@ -77,7 +78,7 @@ func main() {
 		uniformRefine: *uniformRef, showMesh: *showMesh,
 		checkpoint: *checkpoint, restore: *restore, chromeOut: *chromeOut,
 		fjSchedule: *fjSchedule, sanitize: *sanitizeOn,
-		chaos: *chaosOn, chaosSeed: *chaosSeed, procs: *ranksRemote,
+		chaos: *chaosOn, chaosSeed: *chaosSeed, procs: *ranksRemote, cpuProfile: *cpuProfile,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "miniamr:", err)
 		os.Exit(1)
@@ -107,6 +108,7 @@ type runArgs struct {
 	chaos                             bool
 	chaosSeed                         uint64
 	procs                             int
+	cpuProfile                        string
 }
 
 func run(a runArgs) error {
@@ -169,7 +171,7 @@ func run(a runArgs) error {
 	spec := harness.RunSpec{
 		Nodes: a.nodes, RanksPerNode: a.ranksPerNode, CoresPerRank: a.coresPerRank,
 		Net: net, Cfg: cfg, Variant: harness.Variant(a.variant), Recorder: rec,
-		Sanitize: a.sanitize, Procs: a.procs,
+		Sanitize: a.sanitize, Procs: a.procs, CPUProfile: a.cpuProfile,
 	}
 	if a.chaos {
 		faults := simnet.DefaultFaults(a.chaosSeed)

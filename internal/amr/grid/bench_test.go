@@ -14,17 +14,56 @@ func benchBlock(b *testing.B, edge, vars int) *Data {
 	return d
 }
 
+// benchShapes are the two block shapes of the repository benchmark's
+// miniAMR workloads: the kernel-heavy one and the few-microsecond one,
+// where a row is 6 cells and per-row overhead decides the cost.
+var benchShapes = []struct{ edge, vars int }{{12, 8}, {6, 4}}
+
+// faceCase is what a face benchmark works on: a block with a smooth
+// field, a second block of its shape, and a packed face of all variables.
+type faceCase struct {
+	d, peer *Data
+	dir     Dir
+	vars    int
+	buf     []float64
+}
+
+// benchFaces runs fn once per shape x direction as a sub-benchmark;
+// fn's throughput is reported over the face's cells (8 bytes each).
+func benchFaces(b *testing.B, quarter bool, fn func(c *faceCase)) {
+	for _, s := range benchShapes {
+		for _, dir := range []Dir{DirX, DirY, DirZ} {
+			b.Run(fmt.Sprintf("block=%dx%d/dir=%v", s.edge, s.vars, dir), func(b *testing.B) {
+				d := benchBlock(b, s.edge, s.vars)
+				c := &faceCase{d: d, peer: MustNewData(d.size, s.vars), dir: dir, vars: s.vars,
+					buf: make([]float64, d.FaceLen(dir, 0, s.vars))}
+				d.PackFace(dir, High, 0, s.vars, c.buf)
+				n := len(c.buf)
+				if quarter {
+					n = d.QuarterFaceLen(dir, 0, s.vars)
+				}
+				b.SetBytes(int64(8 * n))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					fn(c)
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkStencil7(b *testing.B) {
-	for _, edge := range []int{8, 12, 18} {
-		b.Run(fmt.Sprintf("block=%d", edge), func(b *testing.B) {
-			d := benchBlock(b, edge, 8)
+	for _, s := range []struct{ edge, vars int }{{6, 4}, {8, 8}, {12, 8}, {18, 8}} {
+		b.Run(fmt.Sprintf("block=%dx%d", s.edge, s.vars), func(b *testing.B) {
+			d := benchBlock(b, s.edge, s.vars)
 			b.SetBytes(int64(8 * d.Size().Cells() * d.Vars()))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				d.Stencil7(0, 8)
+				d.Stencil7(0, s.vars)
 			}
-			b.ReportMetric(float64(d.Stencil7Flops(0, 8))*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+			b.ReportMetric(float64(d.Stencil7Flops(0, s.vars))*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 		})
 	}
 }
@@ -40,75 +79,67 @@ func BenchmarkStencil27(b *testing.B) {
 }
 
 func BenchmarkPackFace(b *testing.B) {
-	d := benchBlock(b, 12, 8)
-	buf := make([]float64, d.FaceLen(DirX, 0, 8))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.PackFace(DirX, High, 0, 8, buf)
-	}
+	benchFaces(b, false, func(c *faceCase) { c.d.PackFace(c.dir, High, 0, c.vars, c.buf) })
 }
 
 func BenchmarkUnpackFace(b *testing.B) {
-	d := benchBlock(b, 12, 8)
-	buf := make([]float64, d.FaceLen(DirX, 0, 8))
-	d.PackFace(DirX, High, 0, 8, buf)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.UnpackFace(DirX, Low, 0, 8, buf)
-	}
+	benchFaces(b, false, func(c *faceCase) { c.d.UnpackFace(c.dir, Low, 0, c.vars, c.buf) })
 }
 
 func BenchmarkCopyFaceTo(b *testing.B) {
-	src := benchBlock(b, 12, 8)
-	dst := MustNewData(Size{12, 12, 12}, 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src.CopyFaceTo(dst, DirY, High, 0, 8)
-	}
+	benchFaces(b, false, func(c *faceCase) { c.d.CopyFaceTo(c.peer, c.dir, High, 0, c.vars) })
 }
 
 func BenchmarkPackFaceRestrict(b *testing.B) {
-	d := benchBlock(b, 12, 8)
-	buf := make([]float64, d.QuarterFaceLen(DirZ, 0, 8))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.PackFaceRestrict(DirZ, Low, 0, 8, buf)
+	benchFaces(b, true, func(c *faceCase) { c.d.PackFaceRestrict(c.dir, Low, 0, c.vars, c.buf) })
+}
+
+func BenchmarkUnpackFaceProlong(b *testing.B) {
+	benchFaces(b, true, func(c *faceCase) { c.d.UnpackFaceProlong(c.dir, High, 0, c.vars, c.buf) })
+}
+
+// benchFamily returns a parent and eight children of one shape, all
+// holding a smooth field.
+func benchFamily(b *testing.B, edge, vars int) (*Data, *[8]*Data) {
+	var children [8]*Data
+	for o := range children {
+		children[o] = benchBlock(b, edge, vars)
 	}
+	return benchBlock(b, edge, vars), &children
 }
 
 func BenchmarkSplitInto(b *testing.B) {
-	parent := benchBlock(b, 12, 8)
-	var children [8]*Data
-	for o := range children {
-		children[o] = MustNewData(Size{12, 12, 12}, 8)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		parent.SplitInto(&children)
+	for _, s := range benchShapes {
+		b.Run(fmt.Sprintf("block=%dx%d", s.edge, s.vars), func(b *testing.B) {
+			parent, children := benchFamily(b, s.edge, s.vars)
+			b.SetBytes(int64(8 * 8 * parent.InteriorLen()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				parent.SplitInto(children)
+			}
+		})
 	}
 }
 
 func BenchmarkConsolidateFrom(b *testing.B) {
-	parent := MustNewData(Size{12, 12, 12}, 8)
-	var children [8]*Data
-	for o := range children {
-		children[o] = benchBlock(b, 12, 8)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		parent.ConsolidateFrom(&children)
+	for _, s := range benchShapes {
+		b.Run(fmt.Sprintf("block=%dx%d", s.edge, s.vars), func(b *testing.B) {
+			parent, children := benchFamily(b, s.edge, s.vars)
+			b.SetBytes(int64(8 * 8 * parent.InteriorLen()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				parent.ConsolidateFrom(children)
+			}
+		})
 	}
 }
 
 func BenchmarkChecksum(b *testing.B) {
 	d := benchBlock(b, 12, 8)
 	out := make([]float64, 8)
+	b.SetBytes(int64(8 * d.InteriorLen()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

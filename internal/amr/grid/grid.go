@@ -255,17 +255,18 @@ func (d *Data) QuarterFaceLen(dir Dir, v0, v1 int) int {
 	return (v1 - v0) * (u / 2) * (w / 2)
 }
 
-// planeIdx returns the flat index of the (u, w) in-plane coordinates on the
-// plane at coordinate c in direction dir, for variable v. In-plane
-// coordinates are padded (1..N).
-func (d *Data) planeIdx(dir Dir, v, c, u, w int) int {
+// plane addresses the plane at coordinate c in direction dir of variable
+// v: the cell at padded in-plane coordinates (u, w) is at base + u*su +
+// w*sw. With k the fastest index, sw is 1 for X and Y faces (their rows
+// are contiguous runs of cells) and the row pitch for Z faces.
+func (d *Data) plane(dir Dir, v, c int) (base, su, sw int) {
 	switch dir {
 	case DirX:
-		return d.idx(v, c, u, w)
+		return d.idx(v, c, 0, 0), d.sz, 1
 	case DirY:
-		return d.idx(v, u, c, w)
+		return d.idx(v, 0, c, 0), d.sy * d.sz, 1
 	default:
-		return d.idx(v, u, w, c)
+		return d.idx(v, 0, 0, c), d.sy * d.sz, d.sz
 	}
 }
 

@@ -97,7 +97,7 @@ func TestPackUnpackFaceRoundTripAllDirs(t *testing.T) {
 			for v := 0; v < 3; v++ {
 				for iu := 1; iu <= u; iu++ {
 					for iw := 1; iw <= w; iw++ {
-						if dst.cells[dst.planeIdx(dir, v, cDst, iu, iw)] != src.cells[src.planeIdx(dir, v, cSrc, iu, iw)] {
+						if dst.cells[refPlaneIdx(dst, dir, v, cDst, iu, iw)] != src.cells[refPlaneIdx(src, dir, v, cSrc, iu, iw)] {
 							t.Fatalf("%v/%v: ghost mismatch at v=%d u=%d w=%d", dir, side, v, iu, iw)
 						}
 					}

@@ -4,34 +4,43 @@ package grid
 // each interior cell becomes the average of itself and its six face
 // neighbours (which may be ghost cells at block boundaries). The update is
 // Jacobi-style: all reads see the pre-update state.
+//
+// Each x-plane of a variable is one run of cells from its first interior
+// cell to its last, the two ghost cells between consecutive rows included:
+// the sum is formed at those too (all seven reads stay inside the block)
+// but only ever lands in scratch, and the copy back takes interior rows
+// alone, so every ghost cell keeps the bytes it had.
+//
+//amr:hot allocs=0
 func (d *Data) Stencil7(v0, v1 int) {
 	d.checkGroup(v0, v1)
 	const inv7 = 1.0 / 7.0
-	sx, sy, sz := d.size.X, d.size.Y, d.size.Z
-	strideJ := d.sz
-	strideI := d.sy * d.sz
+	sj, si := d.sz, d.sy*d.sz
+	run := (d.size.Y-1)*sj + d.size.Z
 	for v := v0; v < v1; v++ {
-		for i := 1; i <= sx; i++ {
-			for j := 1; j <= sy; j++ {
-				base := d.idx(v, i, j, 0)
-				for k := 1; k <= sz; k++ {
-					c := base + k
-					d.scratch[c] = (d.cells[c] +
-						d.cells[c-strideI] + d.cells[c+strideI] +
-						d.cells[c-strideJ] + d.cells[c+strideJ] +
-						d.cells[c-1] + d.cells[c+1]) * inv7
-				}
+		for i := 1; i <= d.size.X; i++ {
+			at := d.idx(v, i, 1, 1)
+			out := d.scratch[at : at+run]
+			c := d.cells[at:][:len(out)]
+			xm, xp := d.cells[at-si:][:len(out)], d.cells[at+si:][:len(out)]
+			ym, yp := d.cells[at-sj:][:len(out)], d.cells[at+sj:][:len(out)]
+			zm, zp := d.cells[at-1:][:len(out)], d.cells[at+1:][:len(out)]
+			for p := range out {
+				out[p] = (c[p] + xm[p] + xp[p] + ym[p] + yp[p] + zm[p] + zp[p]) * inv7
 			}
 		}
+		d.commit(v)
 	}
-	// Copy the group's interior back; ghosts are stale until the next
-	// communication phase, as in the reference implementation.
-	for v := v0; v < v1; v++ {
-		for i := 1; i <= sx; i++ {
-			for j := 1; j <= sy; j++ {
-				base := d.idx(v, i, j, 1)
-				copy(d.cells[base:base+sz], d.scratch[base:base+sz])
-			}
+}
+
+// commit copies the interior rows of variable v from the stencil target
+// back into cells. Ghosts are stale until the next communication phase, as
+// in the reference implementation.
+func (d *Data) commit(v int) {
+	for i := 1; i <= d.size.X; i++ {
+		at := d.idx(v, i, 1, 1)
+		for j := 0; j < d.size.Y; j, at = j+1, at+d.sz {
+			copyRow(d.cells[at:at+d.size.Z], d.scratch[at:at+d.size.Z])
 		}
 	}
 }
@@ -46,45 +55,65 @@ func (d *Data) Stencil7Flops(v0, v1 int) int64 {
 // Checksum accumulates the sum of all interior cells per variable of the
 // group [v0, v1) into out[0:v1-v0]. Summation order is fixed (x, y, z
 // ascending), so results are bit-reproducible for identical block content.
+//
+// A sum in a fixed order is one chain of dependent additions, bounded by
+// the adder's latency, not its throughput. Variables are independent
+// chains, so two are summed side by side, each still in its own order; a
+// last odd variable pairs with itself.
+//
+//amr:hot allocs=0
 func (d *Data) Checksum(v0, v1 int, out []float64) {
 	d.checkGroup(v0, v1)
-	for v := v0; v < v1; v++ {
-		var s float64
+	for v := v0; v < v1; v += 2 {
+		w := min(v+1, v1-1)
+		off := (w - v) * d.sx * d.sy * d.sz
+		var s, t float64
 		for i := 1; i <= d.size.X; i++ {
-			for j := 1; j <= d.size.Y; j++ {
-				base := d.idx(v, i, j, 1)
-				for k := 0; k < d.size.Z; k++ {
-					s += d.cells[base+k]
+			at := d.idx(v, i, 1, 1)
+			for j := 0; j < d.size.Y; j, at = j+1, at+d.sz {
+				a := d.cells[at : at+d.size.Z]
+				b := d.cells[at+off:][:len(a)]
+				for k, x := range a {
+					s += x
+					t += b[k]
 				}
 			}
 		}
-		out[v-v0] = s
+		out[v-v0], out[w-v0] = s, t
 	}
+}
+
+// octantOrigin returns the padded coordinates, in the parent, of the cell
+// before the first one octant o covers: bits (x=o&1, y=o>>1&1, z=o>>2&1).
+func (d *Data) octantOrigin(o int) (i, j, k int) {
+	return (o & 1) * d.size.X / 2, (o >> 1 & 1) * d.size.Y / 2, (o >> 2 & 1) * d.size.Z / 2
 }
 
 // SplitInto refines this block into eight children, one per octant.
 // children[o] receives the octant with bits (x=o&1, y=o>>1&1, z=o>>2&1):
 // each parent cell is replicated into the 2x2x2 fine cells it covers.
 // All children must have the block's shape.
+//
+//amr:hot allocs=0
 func (d *Data) SplitInto(children *[8]*Data) {
-	for o := 0; o < 8; o++ {
-		c := children[o]
-		if c == nil || c.size != d.size || c.vars != d.vars {
-			panic("grid: SplitInto child shape mismatch")
-		}
-		ox, oy, oz := o&1, (o>>1)&1, (o>>2)&1
-		baseI := ox * d.size.X / 2
-		baseJ := oy * d.size.Y / 2
-		baseK := oz * d.size.Z / 2
+	nz, sj, si := d.size.Z, d.sz, d.sy*d.sz
+	for o, c := range children {
+		d.checkShape(c)
+		pi, pj, pk := d.octantOrigin(o)
 		for v := 0; v < d.vars; v++ {
-			for i := 1; i <= d.size.X; i++ {
-				pi := baseI + (i+1)/2
-				for j := 1; j <= d.size.Y; j++ {
-					pj := baseJ + (j+1)/2
-					for k := 1; k <= d.size.Z; k++ {
-						pk := baseK + (k+1)/2
-						c.cells[c.idx(v, i, j, k)] = d.cells[d.idx(v, pi, pj, pk)]
+			for i := 1; i <= d.size.X; i += 2 {
+				from := d.idx(v, pi+(i+1)/2, pj+1, pk+1)
+				to := c.idx(v, i, 1, 1)
+				for j := 1; j <= d.size.Y; j, from, to = j+2, from+sj, to+2*sj {
+					// One parent half-row doubles into a child row, which
+					// is then the other three rows under the same parents.
+					row := c.cells[to : to+nz]
+					for q, x := range d.cells[from : from+nz/2] {
+						row[2*q], row[2*q+1] = x, x
 					}
+					copyRow(c.cells[to+sj:to+sj+nz], row)
+					copyRow(c.cells[to+si:to+si+nz], row)
+					copyRow(c.cells[to+si+sj:to+si+sj+nz], row)
 				}
 			}
 		}
@@ -94,31 +123,31 @@ func (d *Data) SplitInto(children *[8]*Data) {
 // ConsolidateFrom coarsens eight children back into this block: each
 // parent cell becomes the average of the 2x2x2 fine cells covering it.
 // Octant numbering matches SplitInto.
+//
+//amr:hot allocs=0
 func (d *Data) ConsolidateFrom(children *[8]*Data) {
-	for o := 0; o < 8; o++ {
-		c := children[o]
-		if c == nil || c.size != d.size || c.vars != d.vars {
-			panic("grid: ConsolidateFrom child shape mismatch")
-		}
-		ox, oy, oz := o&1, (o>>1)&1, (o>>2)&1
-		baseI := ox * d.size.X / 2
-		baseJ := oy * d.size.Y / 2
-		baseK := oz * d.size.Z / 2
+	nz, sj, si := d.size.Z, d.sz, d.sy*d.sz
+	for o, c := range children {
+		d.checkShape(c)
+		pi, pj, pk := d.octantOrigin(o)
 		for v := 0; v < d.vars; v++ {
-			for ci := 1; ci <= d.size.X; ci += 2 {
-				pi := baseI + (ci+1)/2
-				for cj := 1; cj <= d.size.Y; cj += 2 {
-					pj := baseJ + (cj+1)/2
-					for ck := 1; ck <= d.size.Z; ck += 2 {
-						pk := baseK + (ck+1)/2
+			for i := 1; i <= d.size.X; i += 2 {
+				to := d.idx(v, pi+(i+1)/2, pj+1, pk+1)
+				from := c.idx(v, i, 1, 1)
+				for j := 1; j <= d.size.Y; j, to, from = j+2, to+sj, from+2*sj {
+					// The four child rows under one parent half-row, named
+					// by their (i, j) offsets.
+					r00, r10 := c.cells[from:from+nz], c.cells[from+si:][:nz]
+					r01, r11 := c.cells[from+sj:][:nz], c.cells[from+si+sj:][:nz]
+					out := d.cells[to : to+nz/2]
+					for q := range out {
+						k := 2 * q
 						// Balanced pairwise summation keeps the average of
 						// eight equal values exact, so a split followed by a
 						// consolidation reproduces the parent bit-for-bit.
-						s := ((c.cells[c.idx(v, ci, cj, ck)] + c.cells[c.idx(v, ci+1, cj, ck)]) +
-							(c.cells[c.idx(v, ci, cj+1, ck)] + c.cells[c.idx(v, ci+1, cj+1, ck)])) +
-							((c.cells[c.idx(v, ci, cj, ck+1)] + c.cells[c.idx(v, ci+1, cj, ck+1)]) +
-								(c.cells[c.idx(v, ci, cj+1, ck+1)] + c.cells[c.idx(v, ci+1, cj+1, ck+1)]))
-						d.cells[d.idx(v, pi, pj, pk)] = s * 0.125
+						s := ((r00[k] + r10[k]) + (r01[k] + r11[k])) +
+							((r00[k+1] + r10[k+1]) + (r01[k+1] + r11[k+1]))
+						out[q] = s * 0.125
 					}
 				}
 			}

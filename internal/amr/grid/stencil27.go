@@ -19,64 +19,35 @@ package grid
 // communication phase (or boundary conditions) first.
 func (d *Data) FillGhostEdges(v0, v1 int) {
 	d.checkGroup(v0, v1)
-	nx, ny, nz := d.size.X, d.size.Y, d.size.Z
-	xs := [2]int{0, nx + 1}
-	ys := [2]int{0, ny + 1}
-	zs := [2]int{0, nz + 1}
-	// inward returns the padded coordinate one step towards the interior.
-	inward := func(c, max int) int {
-		if c == 0 {
-			return 1
-		}
-		return max
+	n := [3]int{d.size.X, d.size.Y, d.size.Z}
+	stride := [3]int{d.sy * d.sz, d.sz, 1}
+	// ghost returns the offset of ghost plane side (0 low, 1 high) along
+	// axis, and the step from it towards the interior.
+	ghost := func(axis, side int) (off, inward int) {
+		return side * (n[axis] + 1) * stride[axis], (1 - 2*side) * stride[axis]
 	}
 	for v := v0; v < v1; v++ {
-		// Edges along z: x and y both at ghost planes.
-		for _, gi := range xs {
-			ii := inward(gi, nx)
-			for _, gj := range ys {
-				jj := inward(gj, ny)
-				for k := 1; k <= nz; k++ {
-					d.cells[d.idx(v, gi, gj, k)] =
-						0.5 * (d.cells[d.idx(v, ii, gj, k)] + d.cells[d.idx(v, gi, jj, k)])
-				}
-			}
-		}
-		// Edges along y: x and z at ghost planes.
-		for _, gi := range xs {
-			ii := inward(gi, nx)
-			for _, gk := range zs {
-				kk := inward(gk, nz)
-				for j := 1; j <= ny; j++ {
-					d.cells[d.idx(v, gi, j, gk)] =
-						0.5 * (d.cells[d.idx(v, ii, j, gk)] + d.cells[d.idx(v, gi, j, kk)])
-				}
-			}
-		}
-		// Edges along x: y and z at ghost planes.
-		for _, gj := range ys {
-			jj := inward(gj, ny)
-			for _, gk := range zs {
-				kk := inward(gk, nz)
-				for i := 1; i <= nx; i++ {
-					d.cells[d.idx(v, i, gj, gk)] =
-						0.5 * (d.cells[d.idx(v, i, jj, gk)] + d.cells[d.idx(v, i, gj, kk)])
+		origin := d.idx(v, 0, 0, 0)
+		// Edges run along axis a with the other two coordinates, b < c, at
+		// ghost planes: each cell averages its two face-ghost neighbours.
+		for a, bc := range [3][2]int{{1, 2}, {0, 2}, {0, 1}} {
+			for q := 0; q < 4; q++ {
+				offB, inB := ghost(bc[0], q&1)
+				offC, inC := ghost(bc[1], q>>1)
+				e := origin + offB + offC + stride[a]
+				for p := 0; p < n[a]; p, e = p+1, e+stride[a] {
+					d.cells[e] = 0.5 * (d.cells[e+inB] + d.cells[e+inC])
 				}
 			}
 		}
 		// Corners: all three coordinates at ghost planes, averaged from the
-		// three adjacent face ghosts.
-		for _, gi := range xs {
-			ii := inward(gi, nx)
-			for _, gj := range ys {
-				jj := inward(gj, ny)
-				for _, gk := range zs {
-					kk := inward(gk, nz)
-					d.cells[d.idx(v, gi, gj, gk)] = (d.cells[d.idx(v, ii, gj, gk)] +
-						d.cells[d.idx(v, gi, jj, gk)] +
-						d.cells[d.idx(v, gi, gj, kk)]) / 3
-				}
-			}
+		// three adjacent edge ghosts.
+		for q := 0; q < 8; q++ {
+			offX, inX := ghost(0, q&1)
+			offY, inY := ghost(1, q>>1&1)
+			offZ, inZ := ghost(2, q>>2)
+			e := origin + offX + offY + offZ
+			d.cells[e] = (d.cells[e+inX] + d.cells[e+inY] + d.cells[e+inZ]) / 3
 		}
 	}
 }
@@ -110,12 +81,7 @@ func (d *Data) Stencil27(v0, v1 int) {
 		}
 	}
 	for v := v0; v < v1; v++ {
-		for i := 1; i <= sx; i++ {
-			for j := 1; j <= sy; j++ {
-				base := d.idx(v, i, j, 1)
-				copy(d.cells[base:base+sz], d.scratch[base:base+sz])
-			}
-		}
+		d.commit(v)
 	}
 }
 

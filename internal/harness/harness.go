@@ -10,8 +10,10 @@
 package harness
 
 import (
+	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"miniamr/internal/amr/app"
@@ -71,6 +73,10 @@ type RunSpec struct {
 	// Resilience tunes the retransmit protocol of a chaos run; the zero
 	// value selects the defaults. Ignored when Chaos is off.
 	Resilience mpi.Resilience
+	// CPUProfile, when non-empty, is the file a pprof CPU profile of the run
+	// is written to. Like Recorder and Sanitize it sees this process only,
+	// so multi-process runs reject it.
+	CPUProfile string
 	// Procs splits the run across this many OS processes connected by the
 	// TCP wire transport (internal/wire); each child process owns a
 	// contiguous rank block. 0 or 1 keeps the whole world in one process
@@ -136,10 +142,38 @@ type Metrics struct {
 	Chaos mpi.ChaosStats
 }
 
+// profileCPU starts a CPU profile of this process into the file at path;
+// stop ends it and closes the file.
+func profileCPU(path string) (stop func() error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, fmt.Errorf("harness: cpu profile: %w", err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close() // nothing was written; the start error is the one to report
+		return nil, fmt.Errorf("harness: cpu profile: %w", err)
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
+}
+
 // Run executes a spec and aggregates the metrics.
-func Run(spec RunSpec) (Metrics, error) {
+func Run(spec RunSpec) (m Metrics, err error) {
 	if spec.Procs > 1 {
 		return runMultiProc(spec)
+	}
+	if spec.CPUProfile != "" {
+		stop, err := profileCPU(spec.CPUProfile)
+		if err != nil {
+			return Metrics{}, err
+		}
+		defer func() {
+			if cerr := stop(); err == nil && cerr != nil {
+				m, err = Metrics{}, fmt.Errorf("harness: cpu profile: %w", cerr)
+			}
+		}()
 	}
 	job := spec.Job
 	if job == nil {
@@ -209,7 +243,7 @@ func Run(spec RunSpec) (Metrics, error) {
 	var ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms1)
 
-	m := Metrics{
+	m = Metrics{
 		Ranks: topo.Ranks(), Cores: topo.Cores(),
 		Arena:      world.Arena().Stats(),
 		HeapAllocs: ms1.Mallocs - ms0.Mallocs,

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -139,6 +141,31 @@ func TestRunAggregatesMetrics(t *testing.T) {
 	}
 	if len(m.Checksums) == 0 {
 		t.Error("no checksums recorded")
+	}
+}
+
+// TestRunWritesCPUProfile: RunSpec.CPUProfile yields a non-empty pprof
+// file beside the usual metrics, and an unwritable path fails the run
+// before it starts.
+func TestRunWritesCPUProfile(t *testing.T) {
+	spec := RunSpec{
+		Nodes: 1, RanksPerNode: 2, CoresPerRank: 1, Net: simnet.None(),
+		Cfg: FourSpheres([3]int{2, 1, 1}, tinyOpts().Scale), Variant: MPIOnly,
+		CPUProfile: filepath.Join(t.TempDir(), "cpu.prof"),
+	}
+	m, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Checksums) == 0 {
+		t.Error("profiled run recorded no checksums")
+	}
+	if st, err := os.Stat(spec.CPUProfile); err != nil || st.Size() == 0 {
+		t.Errorf("profile file: %v, %v; want a non-empty file", st, err)
+	}
+	spec.CPUProfile = filepath.Join(t.TempDir(), "missing-dir", "cpu.prof")
+	if _, err := Run(spec); err == nil {
+		t.Error("unwritable profile path accepted")
 	}
 }
 

@@ -232,6 +232,9 @@ func runMultiProc(spec RunSpec) (Metrics, error) {
 	if spec.Recorder != nil {
 		return Metrics{}, fmt.Errorf("harness: trace recording is in-process only; not supported with Procs=%d", spec.Procs)
 	}
+	if spec.CPUProfile != "" {
+		return Metrics{}, fmt.Errorf("harness: CPU profiling is in-process only (the ranks run in child processes the profile would not see); not supported with Procs=%d", spec.Procs)
+	}
 	if spec.Sanitize {
 		// The sanitizer audits one process's task graph; a multi-process
 		// run would need per-child audits reported back, which nothing

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -149,5 +150,13 @@ func TestMultiProcRejectsInstruments(t *testing.T) {
 	spec.Sanitize = true
 	if _, err := Run(spec); err == nil {
 		t.Error("sanitized multi-process run accepted; want an error")
+	}
+	spec.Sanitize = false
+	spec.CPUProfile = filepath.Join(t.TempDir(), "cpu.prof")
+	if _, err := Run(spec); err == nil || !strings.Contains(err.Error(), "CPU profiling is in-process only") {
+		t.Errorf("profiled multi-process run: error %v, want the in-process-only rejection", err)
+	}
+	if _, err := os.Stat(spec.CPUProfile); err == nil {
+		t.Error("rejected run left a profile file behind")
 	}
 }
