@@ -11,7 +11,7 @@ GOLDEN_DIR := internal/analysis/testdata/golden
 PERF_GOLDEN_DIR := $(GOLDEN_DIR)/perf
 GRAPH_PKGS := ./internal/amr/app ./internal/hydro
 
-.PHONY: test vet fmt-check lint graph golden perf sanitize chaos race transport bench-test check
+.PHONY: test vet fmt-check lint graph golden perf sanitize chaos race transport bench-test loc check
 
 test:
 	$(GO) build ./...
@@ -92,4 +92,17 @@ transport:
 bench-test:
 	cd bench && $(GO) test ./...
 
-check: vet fmt-check lint test perf sanitize chaos race transport bench-test
+# loc: non-test Go lines per package and in total (testdata/ and the
+# bench/ module excluded), failing when the total exceeds the number in
+# LOC_BUDGET. The rule is "the repository does not grow": a change that
+# needs more lines than it deletes raises LOC_BUDGET in the same diff,
+# where review sees it; a change that shrinks the tree lowers it.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' ! -path './.*/*' \
+		| sort | xargs awk -v budget="$$(cat LOC_BUDGET)" \
+		'{ d = FILENAME; sub(/\/[^\/]*$$/, "", d); if (!(d in n)) order[++dirs] = d; n[d]++; total++ } \
+		END { for (i = 1; i <= dirs; i++) printf "%7d %s\n", n[order[i]], order[i]; \
+		printf "%7d total (LOC_BUDGET %d)\n", total, budget; \
+		if (total > budget) { print "non-test Go lines exceed LOC_BUDGET: delete code, or raise the budget in this diff" > "/dev/stderr"; exit 1 } }'
+
+check: vet fmt-check lint test perf sanitize chaos race transport bench-test loc

@@ -9,14 +9,16 @@
 // Modes:
 //
 //	amrperf [packages]                 print profiles to stdout (-format)
-//	amrperf -o dir [packages]          write one file per driver to dir
+//	amrperf -o dir [packages]          write one file per profile to dir
 //	amrperf -update dir [packages]     refresh golden text profiles in dir
 //	amrperf -check dir [packages]      diff against goldens; exit 1 on drift
 //	amrperf -escape [packages]         also audit //amr:hot allocation pins
 //	                                   (compiles the packages with -gcflags=-m)
 //
-// Each driver is evaluated at its committed default configuration (see
-// analysis.DefaultCostConfig); -workers, -axes and -bytes override it:
+// Each driver is evaluated at its committed default points (see
+// analysis.DefaultCostConfig: one per driver, two for a loop driver, which
+// is the MPI-only rank at one worker and the fork-join rank at sixteen);
+// -workers, -axes and -bytes override them:
 //
 //	amrperf -axes blocks=64,msgs=6 -workers 48 ./internal/amr/app
 //
@@ -39,7 +41,7 @@ import (
 
 func main() {
 	format := flag.String("format", "text", "output format: text or json")
-	outDir := flag.String("o", "", "write one file per driver into this directory")
+	outDir := flag.String("o", "", "write one file per profile into this directory")
 	checkDir := flag.String("check", "", "compare text profiles against goldens in this directory")
 	updateDir := flag.String("update", "", "write text profiles as goldens into this directory")
 	workers := flag.Int("workers", 0, "override the per-rank worker count for every driver")
@@ -97,17 +99,21 @@ func main() {
 
 	var profiles []*analysis.Profile
 	for _, g := range graphs {
-		cfg, _ := analysis.DefaultCostConfig(g.Driver)
+		points, _ := analysis.DefaultCostConfig(g.Driver)
 		if *workers > 0 {
-			cfg.Workers = *workers
+			// One worker count asked for: one profile per driver.
+			points = points[:1]
+			points[0].Workers = *workers
 		}
-		cfg.Axes = overlay(cfg.Axes, axes)
-		cfg.Bytes = overlay(cfg.Bytes, bytesOv)
-		p := analysis.ProfileGraph(g, cfg)
-		for _, w := range p.Warnings {
-			fmt.Fprintf(os.Stderr, "amrperf: driver %s: %s\n", g.Driver, w)
+		for _, cfg := range points {
+			cfg.Axes = overlay(cfg.Axes, axes)
+			cfg.Bytes = overlay(cfg.Bytes, bytesOv)
+			p := analysis.ProfileGraph(g, cfg)
+			for _, w := range p.Warnings {
+				fmt.Fprintf(os.Stderr, "amrperf: profile %s: %s\n", p.Name, w)
+			}
+			profiles = append(profiles, p)
 		}
-		profiles = append(profiles, p)
 	}
 
 	if *escape {
@@ -119,16 +125,16 @@ func main() {
 	switch {
 	case *checkDir != "":
 		for _, p := range profiles {
-			path := filepath.Join(*checkDir, p.Driver+".txt")
+			path := filepath.Join(*checkDir, p.Name+".txt")
 			want, err := os.ReadFile(path)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "amrperf: missing golden for driver %s: %v\n", p.Driver, err)
+				fmt.Fprintf(os.Stderr, "amrperf: missing golden for profile %s: %v\n", p.Name, err)
 				status = 1
 				continue
 			}
 			if got := p.Text(); got != string(want) {
-				fmt.Fprintf(os.Stderr, "amrperf: driver %s diverges from golden %s (run amrperf -update %s to refresh)\n",
-					p.Driver, path, *checkDir)
+				fmt.Fprintf(os.Stderr, "amrperf: profile %s diverges from golden %s (run amrperf -update %s to refresh)\n",
+					p.Name, path, *checkDir)
 				status = 1
 			}
 		}
@@ -138,7 +144,7 @@ func main() {
 			os.Exit(2)
 		}
 		for _, p := range profiles {
-			path := filepath.Join(*updateDir, p.Driver+".txt")
+			path := filepath.Join(*updateDir, p.Name+".txt")
 			if err := os.WriteFile(path, []byte(p.Text()), 0o644); err != nil {
 				fmt.Fprintln(os.Stderr, "amrperf:", err)
 				os.Exit(2)
@@ -152,7 +158,7 @@ func main() {
 		}
 		ext := map[string]string{"text": ".txt", "json": ".json"}[*format]
 		for _, p := range profiles {
-			path := filepath.Join(*outDir, p.Driver+ext)
+			path := filepath.Join(*outDir, p.Name+ext)
 			if err := os.WriteFile(path, []byte(render(p, *format)), 0o644); err != nil {
 				fmt.Fprintln(os.Stderr, "amrperf:", err)
 				os.Exit(2)

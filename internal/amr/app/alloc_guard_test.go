@@ -13,7 +13,9 @@ const ghostExchangeAllocBaseline = 8
 // TestGhostExchangeAllocBaseline guards the sanitizer-off, chaos-off
 // fast path: every hook added for amrsan is a nil check and the fault
 // path is one nil pointer test in dispatch, so the exchange's allocs/op
-// must stay at the pooled-arena baseline.
+// must stay at the pooled-arena baseline. It is measured on the loop
+// driver at one worker (MPI-only): the inline regions, the reused lists
+// and the bodies bound at construction must add nothing to it.
 func TestGhostExchangeAllocBaseline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation baseline needs steady-state iterations")
@@ -21,9 +23,32 @@ func TestGhostExchangeAllocBaseline(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")
 	}
-	res := testing.Benchmark(benchGhostExchange)
+	res := testing.Benchmark(func(b *testing.B) { benchGhostExchange(b, testConfig(), 4, 1) })
 	if got := res.AllocsPerOp(); got > ghostExchangeAllocBaseline {
 		t.Errorf("ghost exchange allocs/op = %d, want <= %d (sanitizer-off path must stay pooled)",
 			got, ghostExchangeAllocBaseline)
+	}
+}
+
+// TestPoolExchangeAllocsDoNotGrowWithTransfers guards the same path on the
+// worker pool: a region costs its fork (a few objects per region, whatever
+// its length), never an object per transfer, so an exchange of eight times
+// the transfers between the same peers allocates no more.
+func TestPoolExchangeAllocsDoNotGrowWithTransfers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation baseline needs steady-state iterations")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation perturbs allocation counts")
+	}
+	allocs := func(root [3]int) int64 {
+		cfg := testConfig()
+		cfg.RootBlocks = root
+		return testing.Benchmark(func(b *testing.B) { benchGhostExchange(b, cfg, 2, 2) }).AllocsPerOp()
+	}
+	small, large := allocs([3]int{4, 4, 2}), allocs([3]int{8, 8, 4})
+	if large > small {
+		t.Errorf("pool ghost exchange allocs/op = %d on 256 blocks, %d on 32: they grow with the transfers",
+			large, small)
 	}
 }

@@ -3,6 +3,7 @@ package app
 import (
 	"math"
 	"os"
+	"reflect"
 	"testing"
 
 	"miniamr/internal/amr/grid"
@@ -216,6 +217,72 @@ func TestForkJoinScheduleVariantsAgree(t *testing.T) {
 	bad.ForkJoinSchedule = "guided"
 	if err := bad.Validate(); err == nil {
 		t.Error("unknown schedule accepted")
+	}
+}
+
+// loopOn is the loop driver at a fixed worker count, as a variant.
+func loopOn(workers int) variantFunc {
+	return func(cfg Config, c *mpi.Comm, rec *trace.Recorder) (Result, error) {
+		return runLoop(cfg, workers, c, rec)
+	}
+}
+
+// TestLoopDriverWorkerCountsAgree: MPI-only and fork-join are one driver, so
+// on the same ranks the worker count changes who executes a region, never
+// what is computed or sent — bit-identical checksums and the same message
+// and byte counters on every rank, from the inline single worker up.
+func TestLoopDriverWorkerCountsAgree(t *testing.T) {
+	ref := runVariant(t, testConfig(), 3, loopOn(1), nil)
+	if t.Failed() {
+		return
+	}
+	for _, workers := range []int{2, 3} {
+		got := runVariant(t, testConfig(), 3, loopOn(workers), nil)
+		if t.Failed() {
+			return
+		}
+		want, have := checksumsOf(ref), checksumsOf(got)
+		if len(have) != len(want) {
+			t.Fatalf("%d workers: %d checksum values, want %d", workers, len(have), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(have[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%d workers: checksum %d = %v, want bit-identical %v", workers, i, have[i], want[i])
+			}
+		}
+		for r := range ref {
+			if got[r].Comm != ref[r].Comm {
+				t.Errorf("%d workers: rank %d sent %+v, one worker sent %+v", workers, r, got[r].Comm, ref[r].Comm)
+			}
+		}
+	}
+}
+
+// TestLoopTraceComparableAcrossWorkers: a traced loop run records the same
+// spans at every worker count — one per transfer, domain-boundary faces
+// under local-copy like the other ghost fills — so the MPI-only and the
+// fork-join traces of one problem compare span for span.
+func TestLoopTraceComparableAcrossWorkers(t *testing.T) {
+	spans := func(workers int) map[string]int {
+		rec := trace.NewRecorder()
+		runVariant(t, testConfig(), 2, loopOn(workers), rec)
+		byLabel := map[string]int{}
+		for _, e := range rec.Events() {
+			byLabel[e.Label]++
+		}
+		return byLabel
+	}
+	one, two := spans(1), spans(2)
+	if t.Failed() {
+		return
+	}
+	if !reflect.DeepEqual(one, two) {
+		t.Errorf("span counts differ:\n 1 worker:  %v\n 2 workers: %v", one, two)
+	}
+	for _, want := range []string{"pack", "unpack", "local-copy", "stencil", "cksum-local", "split", "MPI_Waitany"} {
+		if one[want] == 0 {
+			t.Errorf("trace missing %q spans (got %v)", want, one)
+		}
 	}
 }
 

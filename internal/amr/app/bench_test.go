@@ -4,26 +4,24 @@ import (
 	"testing"
 
 	"miniamr/internal/cluster"
-	"miniamr/internal/driver"
 	"miniamr/internal/mpi"
 	"miniamr/internal/simnet"
 )
 
 // BenchmarkGhostExchange measures one full ghost-face exchange (all three
 // directions, pack/send/recv/unpack plus local copies) over the test mesh
-// with the reference MPI-only driver and no simulated network cost. The
-// allocs/op figure tracks the message path's buffer traffic.
-func BenchmarkGhostExchange(b *testing.B) { benchGhostExchange(b) }
+// with the loop driver on one worker (MPI-only) and no simulated network
+// cost. The allocs/op figure tracks the message path's buffer traffic.
+func BenchmarkGhostExchange(b *testing.B) { benchGhostExchange(b, testConfig(), 4, 1) }
 
 // benchGhostExchange is the benchmark body, shared with the allocation
-// baseline guard in alloc_guard_test.go.
-func benchGhostExchange(b *testing.B) {
+// guards in alloc_guard_test.go: b.N exchanges of the configuration's
+// unrefined root mesh by the loop driver at the given worker count.
+func benchGhostExchange(b *testing.B, cfg Config, ranks, workers int) {
 	b.ReportAllocs()
-	cfg := testConfig()
 	if err := cfg.Validate(); err != nil {
 		b.Fatal(err)
 	}
-	const ranks = 4
 	w := mpi.NewWorld(cluster.MustNew(1, ranks, 1), simnet.None())
 	done := make(chan error, 1)
 	go func() {
@@ -32,7 +30,7 @@ func benchGhostExchange(b *testing.B) {
 			if err != nil {
 				panic(err)
 			}
-			d := &mpiOnlyDriver{s: s, eng: driver.NewSerialEngine(s.arena, scratchLen(&cfg))}
+			d := newLoopDriver(s, workers)
 			for i := 0; i < b.N; i++ {
 				if err := d.communicate(0, cfg.CommVars); err != nil {
 					panic(err)

@@ -17,11 +17,10 @@ const (
 	exchangeData = exchangeBase + 2 // + move index: the block payload
 )
 
-// blockMover abstracts how a variant transfers block payloads: the
-// MPI-only driver does it inline, the fork-join driver parallelises
-// pack/unpack, and the data-flow driver spawns TAMPI tasks. Control
-// messages always flow on the calling (main) goroutine, matching the
-// paper's design.
+// blockMover abstracts how a variant transfers block payloads: the loop
+// driver does it inline with blocking operations on the master, the
+// data-flow driver spawns TAMPI tasks. Control messages always flow on the
+// calling (main) goroutine, matching the paper's design.
 type blockMover interface {
 	// sendBlock transmits the payload of an owned block to rank `to` with
 	// the given tag. It may run asynchronously until barrier.

@@ -58,7 +58,7 @@ func TestExchangeMultiRound(t *testing.T) {
 			}
 			sentinel[mv.Block] = float64(1000 + mv.Block.X*100 + mv.Block.Y*10 + mv.Block.Z)
 		}
-		if err := s.exchangeBlocks(moves, &syncMover{s: s}); err != nil {
+		if err := s.exchangeBlocks(moves, &blockingMover{s: s}); err != nil {
 			t.Errorf("rank %d: %v", s.rank, err)
 			panic(err)
 		}
@@ -97,7 +97,7 @@ func TestExchangeImpossibleCapacityFails(t *testing.T) {
 		s := exchangeState(t, c, 4) // receiver already at capacity
 		r0 := s.msh.Owned(0)
 		moves := []mesh.Move{{Block: r0[0], From: 0, To: 1}}
-		if err := s.exchangeBlocks(moves, &syncMover{s: s}); err == nil {
+		if err := s.exchangeBlocks(moves, &blockingMover{s: s}); err == nil {
 			t.Error("expected capacity failure, got success")
 		}
 	})
@@ -111,7 +111,7 @@ func TestExchangeEmptyMovesIsNoop(t *testing.T) {
 	w := mpi.NewWorld(cluster.MustNew(1, 2, 1), simnet.None())
 	err := w.Run(func(c *mpi.Comm) {
 		s := exchangeState(t, c, 0)
-		if err := s.exchangeBlocks(nil, &syncMover{s: s}); err != nil {
+		if err := s.exchangeBlocks(nil, &blockingMover{s: s}); err != nil {
 			t.Errorf("rank %d: %v", s.rank, err)
 		}
 	})

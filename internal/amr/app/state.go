@@ -220,10 +220,6 @@ func (s *state) close() {
 // rebuildComm cached, shared by every caller and not to be modified.
 func (s *state) owned() []mesh.Coord { return s.ownedList }
 
-// blockAt resolves an owned coordinate to its block data, the source/dst
-// resolver for comm.PackMessage and comm.UnpackMessage.
-func (s *state) blockAt(c mesh.Coord) *grid.Data { return s.data[c] }
-
 // runStencil applies the configured stencil kernel to a block's variable
 // group. The 27-point stencil first synthesises edge/corner ghosts from
 // the face ghosts filled by the communication phase.

@@ -241,29 +241,6 @@ func MessageLen(ts []Transfer, groupVars int) int {
 	return n
 }
 
-// PackMessage packs every transfer of a message, in canonical order, into
-// one contiguous slab (typically a pooled buffer of MessageLen capacity)
-// and returns the count written. src resolves a source coordinate to its
-// block data.
-func PackMessage(msg []Transfer, src func(mesh.Coord) *grid.Data, v0, v1 int, buf []float64) int {
-	off := 0
-	for _, tr := range msg {
-		off += Pack(tr, src(tr.Src), v0, v1, buf[off:])
-	}
-	return off
-}
-
-// UnpackMessage unpacks a slab produced by the peer's PackMessage into the
-// receiving blocks' ghost faces and returns the count consumed. dst
-// resolves a receiving coordinate to its block data.
-func UnpackMessage(msg []Transfer, dst func(mesh.Coord) *grid.Data, v0, v1 int, buf []float64) int {
-	off := 0
-	for _, tr := range msg {
-		off += Unpack(tr, dst(tr.Recv), v0, v1, buf[off:])
-	}
-	return off
-}
-
 // Tag computes the MPI tag for a message: unique per (direction, message
 // index) within a sender/receiver pair, and disjoint from the tag spaces
 // used by the refinement exchange. Reuse across stages is safe because MPI

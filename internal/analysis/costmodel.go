@@ -69,6 +69,8 @@ type NodeCost struct {
 
 // Profile is the static performance profile of one driver graph.
 type Profile struct {
+	// Name is what the profile is filed under (see ProfileName).
+	Name    string         `json:"name"`
 	Driver  string         `json:"driver"`
 	Mode    string         `json:"mode"` // "dataflow" (whole-DAG) or "barrier" (per-phase)
 	Workers int            `json:"workers"`
@@ -94,6 +96,7 @@ type Profile struct {
 // ProfileGraph evaluates one extracted graph under a cost configuration.
 func ProfileGraph(g *Graph, cfg CostConfig) *Profile {
 	p := &Profile{
+		Name:    ProfileName(g.Driver, cfg),
 		Driver:  g.Driver,
 		Workers: cfg.Workers,
 		Axes:    cfg.Axes,
@@ -143,7 +146,11 @@ func ProfileGraph(g *Graph, cfg CostConfig) *Profile {
 // //amr:par directive whose label matches the node's label within its
 // phase wins; otherwise task nodes default to one parallel instance and
 // everything else to one serial step. Par labels that match no node
-// become synthetic parallel-region nodes of their phase.
+// become synthetic parallel-region nodes of their phase. On one worker
+// every region is serial, whatever its directive says: the same loop
+// driver graph is the MPI-only rank at Workers 1 and the fork-join rank
+// above, and the `serial` keyword is left for what stays on the master
+// thread at any worker count.
 func (p *Profile) evalNodes(g *Graph, cfg CostConfig) []NodeCost {
 	parFor := make(map[string]*parSpec)
 	matched := make(map[string]bool)
@@ -178,7 +185,7 @@ func (p *Profile) evalNodes(g *Graph, cfg CostConfig) []NodeCost {
 			matched[ps.Phase+"\x00"+ps.Label] = true
 			c.Axis = ps.Axis
 			c.Count = countOf(ps.Axis)
-			c.Serial = ps.Serial
+			c.Serial = ps.Serial || p.Workers == 1
 		}
 		sends, recvs := false, false
 		for _, ev := range n.Comm {
@@ -205,7 +212,7 @@ func (p *Profile) evalNodes(g *Graph, cfg CostConfig) []NodeCost {
 		}
 		costs = append(costs, NodeCost{
 			ID: ps.Phase + "/" + ps.Label, Kind: "par",
-			Axis: ps.Axis, Count: countOf(ps.Axis), Serial: ps.Serial,
+			Axis: ps.Axis, Count: countOf(ps.Axis), Serial: ps.Serial || p.Workers == 1,
 			phase: ps.Phase,
 		})
 	}

@@ -109,12 +109,12 @@ func TestProfileSerialRegionsLengthenSpan(t *testing.T) {
 	}
 }
 
-// barrierGraph is a fork-join shape: no task nodes, two phases, the MPI
+// barrierGraph is a loop driver's shape: no task nodes, two phases, the MPI
 // operations serial on the master and the compute regions parallel via
 // unmatched //amr:par labels (synthetic region nodes).
 func barrierGraph() *Graph {
 	g := &Graph{
-		Driver: "toy-forkjoin",
+		Driver: "toy-loop",
 		Phases: []Phase{{Name: "communicate", Seq: 1}, {Name: "stencil", Seq: 2}},
 		Nodes: []*Node{
 			{ID: "communicate/Irecv", Phase: "communicate", Kind: "recv", Label: "Irecv",
@@ -175,6 +175,26 @@ func TestProfileBarrierComposition(t *testing.T) {
 	if !sawPack || !sawStencil {
 		t.Errorf("synthetic par regions missing (pack=%v stencil=%v): %+v",
 			sawPack, sawStencil, p.Nodes)
+	}
+}
+
+// TestProfileOneWorkerSerialisesRegions pins how one loop driver graph
+// stands for both loop variants: at Workers 1 (the MPI-only rank) every
+// region runs on the only thread, so the span is the sum of all instance
+// counts and nothing is ever concurrent — with no directive changed.
+func TestProfileOneWorkerSerialisesRegions(t *testing.T) {
+	cfg := CostConfig{Workers: 1, Axes: map[string]int{"msgs": 4, "segs": 6, "blocks": 24}}
+	p := ProfileGraph(barrierGraph(), cfg)
+	if p.Work != 38 || p.Span != p.Work {
+		t.Errorf("work %d span %d, want both 38", p.Work, p.Span)
+	}
+	if p.MaxWidth != 1 || p.SpeedupBound != 1 {
+		t.Errorf("width %d bound %v, want 1 and 1", p.MaxWidth, p.SpeedupBound)
+	}
+	for _, c := range p.Nodes {
+		if !c.Serial {
+			t.Errorf("node %s is parallel on one worker", c.ID)
+		}
 	}
 }
 

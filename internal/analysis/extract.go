@@ -47,9 +47,10 @@ type graphAnchor struct {
 // drivers, a parallel-for or master-serial loop in the others — and axis
 // names the instance-count knob the cost model scales it by (blocks,
 // segs, msgs, ...). Regions whose label matches no extracted node become
-// synthetic parallel-region nodes of the phase, which is how the
-// fork-join and MPI-only drivers (whose loops the extractor does not
-// materialise) declare their width.
+// synthetic parallel-region nodes of the phase, which is how the loop
+// drivers (whose regions the extractor does not materialise) declare
+// their width; serial marks a region that stays on the master thread at
+// any worker count.
 type parSpec struct {
 	Phase  string `json:"phase"`
 	Label  string `json:"label"`

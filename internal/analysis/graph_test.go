@@ -32,7 +32,7 @@ func appGraphs(t *testing.T) []*Graph {
 //	go run ./cmd/amrgraph -update internal/analysis/testdata/golden ./internal/amr/app
 func TestGoldenGraphs(t *testing.T) {
 	graphs := appGraphs(t)
-	want := []string{"dataflow", "exchange", "forkjoin", "mpionly"}
+	want := []string{"dataflow", "exchange", "loop"}
 	var got []string
 	for _, g := range graphs {
 		got = append(got, g.Driver)

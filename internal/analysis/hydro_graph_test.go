@@ -30,7 +30,7 @@ func hydroGraphs(t *testing.T) []*Graph {
 //	go run ./cmd/amrgraph -update internal/analysis/testdata/golden ./internal/amr/app ./internal/hydro
 func TestHydroGoldenGraphs(t *testing.T) {
 	graphs := hydroGraphs(t)
-	want := []string{"hydro-dataflow", "hydro-forkjoin", "hydro-mpionly"}
+	want := []string{"hydro-dataflow", "hydro-loop"}
 	var got []string
 	for _, g := range graphs {
 		got = append(got, g.Driver)

@@ -8,7 +8,7 @@ import (
 )
 
 // allProfiles extracts every driver graph from both applications and
-// evaluates it at its committed default configuration.
+// evaluates it at its committed default points, by profile name.
 func allProfiles(t *testing.T) map[string]*Profile {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -25,15 +25,17 @@ func allProfiles(t *testing.T) map[string]*Profile {
 	}
 	profiles := make(map[string]*Profile, len(graphs))
 	for _, g := range graphs {
-		cfg, ok := DefaultCostConfig(g.Driver)
+		points, ok := DefaultCostConfig(g.Driver)
 		if !ok {
 			t.Errorf("driver %s has no default cost configuration", g.Driver)
 		}
-		p := ProfileGraph(g, cfg)
-		for _, w := range p.Warnings {
-			t.Errorf("driver %s: %s", g.Driver, w)
+		for _, cfg := range points {
+			p := ProfileGraph(g, cfg)
+			for _, w := range p.Warnings {
+				t.Errorf("profile %s: %s", p.Name, w)
+			}
+			profiles[p.Name] = p
 		}
-		profiles[g.Driver] = p
 	}
 	return profiles
 }
@@ -46,25 +48,25 @@ func allProfiles(t *testing.T) map[string]*Profile {
 //	go run ./cmd/amrperf -update internal/analysis/testdata/golden/perf ./internal/amr/app ./internal/hydro
 func TestGoldenPerfProfiles(t *testing.T) {
 	profiles := allProfiles(t)
-	want := []string{"dataflow", "exchange", "forkjoin", "mpionly",
-		"hydro-dataflow", "hydro-forkjoin", "hydro-mpionly"}
+	want := []string{"dataflow", "exchange", "loop-w16", "loop-w1",
+		"hydro-dataflow", "hydro-loop-w16", "hydro-loop-w1"}
 	if len(profiles) != len(want) {
-		t.Errorf("profiled %d drivers, want %d", len(profiles), len(want))
+		t.Errorf("evaluated %d profiles, want %d", len(profiles), len(want))
 	}
-	for _, driver := range want {
-		p := profiles[driver]
+	for _, name := range want {
+		p := profiles[name]
 		if p == nil {
-			t.Errorf("driver %s not profiled", driver)
+			t.Errorf("profile %s not evaluated", name)
 			continue
 		}
-		path := filepath.Join("testdata", "golden", "perf", driver+".txt")
+		path := filepath.Join("testdata", "golden", "perf", name+".txt")
 		golden, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatalf("missing perf golden (refresh with cmd/amrperf -update): %v", err)
 		}
 		if text := p.Text(); text != string(golden) {
-			t.Errorf("driver %s diverges from %s:\n--- got ---\n%s--- want ---\n%s",
-				driver, path, text, golden)
+			t.Errorf("profile %s diverges from %s:\n--- got ---\n%s--- want ---\n%s",
+				name, path, text, golden)
 		}
 	}
 }
@@ -72,13 +74,13 @@ func TestGoldenPerfProfiles(t *testing.T) {
 // TestDataflowWidthBeatsForkJoin pins the paper's core claim in the
 // static model: on the same configuration, whole-DAG data-flow execution
 // exposes strictly more concurrency than fork-join's barrier-composed
-// regions, which in turn beat the serial MPI-only rank — for both
-// applications.
+// regions, which in turn beat the same loop driver on the MPI-only rank's
+// one worker — for both applications.
 func TestDataflowWidthBeatsForkJoin(t *testing.T) {
 	profiles := allProfiles(t)
 	for _, app := range []struct{ df, fj, serial string }{
-		{"dataflow", "forkjoin", "mpionly"},
-		{"hydro-dataflow", "hydro-forkjoin", "hydro-mpionly"},
+		{"dataflow", "loop-w16", "loop-w1"},
+		{"hydro-dataflow", "hydro-loop-w16", "hydro-loop-w1"},
 	} {
 		df, fj, serial := profiles[app.df], profiles[app.fj], profiles[app.serial]
 		if df == nil || fj == nil || serial == nil {

@@ -4,16 +4,18 @@
 // this package makes the pattern an API: the three parallelisation
 // variants (MPI-only, fork-join, data-flow), the shared main loop, the
 // checksum oracle, pooled communication slabs and cached message plans,
-// and the per-variant execution engines all live here, so an application
-// only contributes stage definitions (pack/compute/reduce bodies and
-// their dependency keys).
+// and the two execution engines all live here, so an application only
+// contributes stage definitions (pack/compute/reduce bodies and their
+// dependency keys).
 //
 // An application integrates in three steps:
 //
 //  1. Register its name and supported variants with Register (init time).
-//  2. Implement Hooks over its per-rank state, one implementation per
-//     variant, each built on the matching engine (SerialEngine,
-//     ForkJoinEngine, GraphEngine).
+//  2. Implement Hooks over its per-rank state twice: a loop driver on the
+//     LoopEngine and a graph driver on the GraphEngine. MPI-only is the
+//     loop driver on one worker per rank (its regions then run inline),
+//     fork-join the same driver on the rank's cores, as the reference's
+//     MPI+OpenMP build is its MPI code plus pragmas.
 //  3. Expose a Job that binds a validated configuration to a Program;
 //     the harness runs Jobs without knowing the application.
 package driver

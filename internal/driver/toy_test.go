@@ -3,9 +3,10 @@ package driver_test
 // The toy application is the skeleton's proof of generality: a third app
 // (after miniAMR and HYDRO) — a 1D ring diffusion — built purely against
 // the exported driver API. It registers its variants, caches its message
-// plans in driver.Plans, runs all three execution engines through
-// driver.Loop and validates checksums through driver.Oracle, without a
-// single change to the task, tampi, mpi or membuf layers.
+// plans in driver.Plans, runs both execution engines (the loop engine at
+// one and at N workers, the graph engine) through driver.Loop and
+// validates checksums through driver.Oracle, without a single change to
+// the task, tampi, mpi or membuf layers.
 
 import (
 	"fmt"
@@ -120,15 +121,17 @@ func toyLoop() driver.Loop {
 	return driver.Loop{Timesteps: 3, StagesPerTimestep: 2, ChecksumEvery: 2, Groups: [][2]int{{0, 1}}}
 }
 
-// toySerial runs the diffusion on the SerialEngine.
-type toySerial struct {
+// toyLoopDriver runs the diffusion on the LoopEngine: the sweep in a
+// parallel region, MPI on the master. It is both loop variants — MPI-only
+// is this driver on one worker.
+type toyLoopDriver struct {
 	s   *toyState
-	eng *driver.SerialEngine
+	eng *driver.LoopEngine
 }
 
-func (d *toySerial) BeginStep(int) error { return nil }
+func (d *toyLoopDriver) BeginStep(int) error { return nil }
 
-func (d *toySerial) Communicate(_, _, _ int) error {
+func (d *toyLoopDriver) Communicate(_, _, _ int) error {
 	s := d.s
 	ws := d.eng.Wait()
 	ws.Reset()
@@ -162,30 +165,17 @@ func (d *toySerial) Communicate(_, _, _ int) error {
 	return d.eng.FlushSends()
 }
 
-func (d *toySerial) Compute(_, _, _ int) error {
-	d.s.sweepInto(d.s.next, 0, toyCells)
-	copy(d.s.cur, d.s.next)
-	return nil
-}
-
-func (d *toySerial) Checksum(int) error        { return d.s.validate() }
-func (d *toySerial) Quiesce() error            { return nil }
-func (d *toySerial) Refine(bool) (bool, error) { return false, nil }
-func (d *toySerial) Drain() error              { return nil }
-
-// toyForkJoin runs the sweep in parallel loops on the ForkJoinEngine with
-// MPI on the master.
-type toyForkJoin struct {
-	toySerial // reuse the master-threaded communication stages
-	eng       *driver.ForkJoinEngine
-}
-
-func (d *toyForkJoin) Compute(_, _, _ int) error {
+func (d *toyLoopDriver) Compute(_, _, _ int) error {
 	s := d.s
-	d.eng.For(toyCells, func(i int) { s.sweepInto(s.next, i, i+1) })
+	d.eng.ParFor(toyCells, func(i, _ int) { s.sweepInto(s.next, i, i+1) })
 	copy(s.cur, s.next)
 	return nil
 }
+
+func (d *toyLoopDriver) Checksum(int) error        { return d.s.validate() }
+func (d *toyLoopDriver) Quiesce() error            { return nil }
+func (d *toyLoopDriver) Refine(bool) (bool, error) { return false, nil }
+func (d *toyLoopDriver) Drain() error              { return nil }
 
 // toyDataFlow taskifies the stages on the GraphEngine.
 type toyDataFlow struct {
@@ -291,15 +281,13 @@ func (toyJob) Bind(v driver.Variant, workers int, _ *sanitize.Sanitizer) (driver
 		var h driver.Hooks
 		var cleanup func()
 		switch v {
-		case driver.MPIOnly:
-			eng := driver.NewSerialEngine(s.arena, 1)
-			h = &toySerial{s: s, eng: eng}
+		case driver.MPIOnly, driver.ForkJoin:
+			if v == driver.MPIOnly {
+				workers = 1
+			}
+			eng := driver.NewLoopEngine(s.arena, workers, 1, false)
+			h = &toyLoopDriver{s: s, eng: eng}
 			cleanup = eng.Close
-		case driver.ForkJoin:
-			eng := driver.NewForkJoinEngine(s.arena, workers, 1, false)
-			h = &toyForkJoin{toySerial: toySerial{s: s, eng: driver.NewSerialEngine(s.arena, 1)}, eng: eng}
-			se := h.(*toyForkJoin).toySerial.eng
-			cleanup = func() { se.Close(); eng.Close() }
 		case driver.DataFlow:
 			g, err := driver.NewGraphEngine(driver.GraphOptions{Comm: c, Workers: workers, ScratchLen: 1})
 			if err != nil {

@@ -103,3 +103,41 @@ func TestDataFlowAllocsPerTask(t *testing.T) {
 		}
 	}
 }
+
+// TestHydroMPIOnlyAllocsPerTimestep is the ghost-exchange baseline's HYDRO
+// counterpart (internal/amr/app holds miniAMR's): heap objects per rank and
+// timestep of the loop driver on one worker — a CFL reduction, two
+// exchange/sweep stages and a checksum — from the difference of two run
+// lengths, so set-up cancels. 12.5 is the reading of the hand-written
+// MPI-only driver the loop driver replaced (what the Allreduces and the
+// boxed receive slices cost); the regions, their reused lists and the bound
+// bodies must add nothing to it.
+func TestHydroMPIOnlyAllocsPerTimestep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation baseline needs steady-state iterations")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation perturbs allocation counts")
+	}
+	const ranks, extra, budget = 4, 100, 13
+	allocs := func(timesteps int) uint64 {
+		m, err := Run(RunSpec{
+			Nodes: 1, RanksPerNode: ranks, CoresPerRank: 1,
+			Net: simnet.None(), Variant: MPIOnly,
+			Job: hydro.Job(hydro.Config{
+				NX: 24, NY: 16, TilesX: 4, TilesY: 4,
+				Timesteps: timesteps, ChecksumEvery: 2,
+			}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.HeapAllocs
+	}
+	per := float64(allocs(10+extra)-allocs(10)) / extra / ranks
+	if per > budget {
+		t.Errorf("HYDRO MPI-only: %.2f heap objects per rank and timestep, want <= %d", per, budget)
+	} else {
+		t.Logf("HYDRO MPI-only: %.2f heap objects per rank and timestep", per)
+	}
+}

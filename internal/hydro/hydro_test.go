@@ -170,6 +170,42 @@ func TestCrossVariantBitIdenticalChecksums(t *testing.T) {
 	}
 }
 
+// TestLoopDriverWorkerCountsAgree: MPI-only and fork-join are one driver, so
+// on the same ranks the worker count changes who executes a region, never
+// what is computed or sent — bit-identical checksums and the same message
+// and byte counters on every rank, from the inline single worker up.
+func TestLoopDriverWorkerCountsAgree(t *testing.T) {
+	loopOn := func(workers int) variantFunc {
+		return func(cfg Config, c *mpi.Comm, rec *trace.Recorder) (Result, error) {
+			return runLoop(cfg, workers, c, rec)
+		}
+	}
+	ref := runVariant(t, testConfig(), 3, loopOn(1), nil)
+	if t.Failed() {
+		return
+	}
+	for _, workers := range []int{2, 3} {
+		got := runVariant(t, testConfig(), 3, loopOn(workers), nil)
+		if t.Failed() {
+			return
+		}
+		want, have := checksumsOf(ref), checksumsOf(got)
+		if len(have) != len(want) {
+			t.Fatalf("%d workers: %d checksum values, want %d", workers, len(have), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(have[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%d workers: checksum %d = %v, want bit-identical %v", workers, i, have[i], want[i])
+			}
+		}
+		for r := range ref {
+			if got[r].Comm != ref[r].Comm {
+				t.Errorf("%d workers: rank %d sent %+v, one worker sent %+v", workers, r, got[r].Comm, ref[r].Comm)
+			}
+		}
+	}
+}
+
 func TestDataFlowOptionVariantsAgree(t *testing.T) {
 	base := testConfig()
 	ref := checksumsOf(runVariant(t, base, 3, RunDataFlow, nil))

@@ -43,38 +43,30 @@ func runMain(s *state, h driver.Hooks) (Result, error) {
 	}, nil
 }
 
-// RunMPIOnly executes HYDRO with the reference MPI-only strategy.
+// RunMPIOnly executes HYDRO with the reference MPI-only strategy: the
+// loop driver on one worker per rank.
 func RunMPIOnly(cfg Config, c *mpi.Comm, rec *trace.Recorder) (Result, error) {
+	return runLoop(cfg, 1, c, rec)
+}
+
+// RunForkJoin executes HYDRO with the hybrid MPI+OpenMP fork-join
+// strategy: the loop driver on cfg.Workers threads per rank.
+func RunForkJoin(cfg Config, c *mpi.Comm, rec *trace.Recorder) (Result, error) {
+	return runLoop(cfg, cfg.Workers, c, rec)
+}
+
+func runLoop(cfg Config, workers int, c *mpi.Comm, rec *trace.Recorder) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	s := newState(&cfg, c, rec)
-	d := &serialDriver{s: s, eng: driver.NewSerialEngine(s.arena, scratchLen(&cfg))}
-	res, err := runMain(s, d)
+	d := newLoopDriver(newState(&cfg, c, rec), workers)
+	defer d.eng.ClosePool()
+	res, err := runMain(d.s, d)
 	if err != nil {
 		return Result{}, err
 	}
 	d.eng.Close()
-	s.close()
-	return res, nil
-}
-
-// RunForkJoin executes HYDRO with the hybrid MPI+OpenMP fork-join
-// strategy.
-func RunForkJoin(cfg Config, c *mpi.Comm, rec *trace.Recorder) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	s := newState(&cfg, c, rec)
-	eng := driver.NewForkJoinEngine(s.arena, cfg.Workers, scratchLen(&cfg), false)
-	defer eng.ClosePool()
-	d := &fjDriver{s: s, eng: eng}
-	res, err := runMain(s, d)
-	if err != nil {
-		return Result{}, err
-	}
-	eng.Close()
-	s.close()
+	d.s.close()
 	return res, nil
 }
 

@@ -259,19 +259,6 @@ func (s *state) unpackSeg(dir int, sg seg, src []float64) {
 	}
 }
 
-// packMessage and unpackMessage walk a whole plan's segments.
-func (s *state) packMessage(dir int, segs []seg, buf []float64) {
-	for i, sg := range segs {
-		s.packSeg(dir, sg, s.segBuf(dir, buf, i))
-	}
-}
-
-func (s *state) unpackMessage(dir int, segs []seg, buf []float64) {
-	for i, sg := range segs {
-		s.unpackSeg(dir, sg, s.segBuf(dir, buf, i))
-	}
-}
-
 // copyLocal performs one same-rank edge exchange: src's interior edge on
 // srcSide into dst's opposite ghost edge. Interior reads and ghost writes
 // are disjoint, so copies never race with each other.
