@@ -14,64 +14,6 @@ import (
 	"miniamr/internal/trace"
 )
 
-// Dependency keys of the data-flow taskification. Dependencies are
-// declared at the granularity the paper describes: a mesh block and its
-// variable group (never individual faces), plus communication buffer
-// sections. A block is two regions, because its two parts have different
-// writers: the stencil writes the interior, the ghost exchange the halo.
-type (
-	// blockKey is the interior of a block's variable-group range: written
-	// by stencil, read by pack, by the fills of the neighbouring blocks and
-	// by the checksum. Block state persists across timesteps, and graphlint
-	// matches it as one class so the pack -> stencil -> checksum chain is
-	// visible at the phase level.
-	//
-	//amr:region state
-	blockKey struct {
-		c mesh.Coord
-		g int // group index
-	}
-	// ghostKey is the halo of the same range, all six faces: filled by the
-	// block's fill task and its unpack tasks, consumed (and for the 27-point
-	// kernel completed with edges and corners) by stencil.
-	//
-	//amr:region state
-	ghostKey struct {
-		c mesh.Coord
-		g int
-	}
-	// sectKey is one transfer's section of a message buffer. dirKey is the
-	// direction+1, or 0 when buffers are shared across directions
-	// (reproducing the false dependencies that --separate_buffers removes).
-	// Sections are per-stage: produced, consumed once, recycled.
-	//
-	//amr:region stage match=dirKey,send,idx
-	sectKey struct {
-		dirKey int
-		peer   int
-		msg    int
-		send   bool
-		idx    int
-	}
-	// slotKey is a per-block checksum accumulator slot; parity alternates
-	// between consecutive checksum stages for the delayed validation
-	// (class matching: the delayed flush reads the other parity).
-	//
-	//amr:region stage
-	slotKey struct {
-		c      mesh.Coord
-		parity int
-	}
-	// xferKey orders the pack->send and recv->unpack pairs of the
-	// refinement block exchange, keyed by the move's data tag.
-	//
-	//amr:region stage match=recv
-	xferKey struct {
-		tag  int
-		recv bool
-	}
-)
-
 // RunDataFlow executes the simulation with the paper's hybrid data-flow
 // strategy: every phase is taskified, tasks connect through data
 // dependencies, and MPI operations are issued from tasks through the
@@ -105,7 +47,8 @@ func newDataFlowDriver(cfg *Config, c *mpi.Comm, rec *trace.Recorder) (*dataFlow
 	if cfg.TaskObserver != nil {
 		obs = cfg.TaskObserver(c.Rank())
 	}
-	g, err := driver.NewGraphEngine(driver.GraphOptions{
+	d := &dataFlowDriver{s: s, groups: len(cfg.Groups())}
+	d.g, err = driver.NewGraphEngine(driver.GraphOptions{
 		Comm:                      c,
 		Recorder:                  rec,
 		Workers:                   cfg.Workers,
@@ -113,11 +56,12 @@ func newDataFlowDriver(cfg *Config, c *mpi.Comm, rec *trace.Recorder) (*dataFlow
 		Sanitizer:                 cfg.Sanitizer,
 		Observer:                  obs,
 		ScratchLen:                scratchLen(cfg),
+		Describe:                  d.describe,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &dataFlowDriver{s: s, g: g, groups: len(cfg.Groups())}, nil
+	return d, nil
 }
 
 type dataFlowDriver struct {
@@ -126,47 +70,103 @@ type dataFlowDriver struct {
 	// scratch buffers and the sanitizer/trace plumbing.
 	g *driver.GraphEngine
 
-	// unpacks is communicate's list of pending unpack tasks; keys is the
+	// unpacks is communicate's list of pending unpack tasks; regs is the
 	// multidependency list of the task being spawned, which In copies. Both
 	// are kept for their storage.
 	unpacks []unpackJob
-	keys    []any
+	regs    []task.Region
 
 	// What the driver derives from the mesh, valid for the state epoch
-	// planned (see plan): the fill plan and the boxed dependency keys, the
-	// interior and halo key of owned block i's group gi at own and
-	// halo[i*groups+gi]. A key is boxed on first use — the literal spelled in
-	// the function that spawns, where graphlint's extractor reads it — and
-	// its slot is never written again within the epoch: every later task that
-	// names the region shares the boxed value, and task bodies may read the
-	// tables while later stages are being spawned.
-	planned   int
-	groups    int
-	fill      fillPlan
-	own, halo []any
+	// planned (see plan) and never written within it, so task bodies may read
+	// it while later stages are being spawned: the fill plan, the data of
+	// owned block i at blocks[i], and the first handle of each table of
+	// dependency regions (see interior, halo, slot; a message's sections hang
+	// off its plan). Dependencies are declared at the granularity the paper
+	// describes: a mesh block and its variable group (never individual
+	// faces), plus communication buffer sections.
+	planned          int
+	groups           int
+	fill             fillPlan
+	blocks           []*grid.Data
+	interiors, halos task.Region
+	slotRegs         task.Region
+	// xfers are the regions of the refinement exchange under way, nxfers of
+	// them (see xfer); they live until the next plan.
+	xfers  task.Region
+	nxfers int
 
-	// Delayed-checksum state: two parities of per-block sum slots.
-	parity     int
-	slots      [2]map[mesh.Coord][]float64
-	slotBlocks [2][]mesh.Coord
-	pending    [2]bool
+	// Delayed-checksum state: two parities of per-block sum slots, indexed
+	// like blocks and reused across stages.
+	parity  int
+	slots   [2][][]float64
+	pending [2]bool
 }
 
 // unpackJob is one received transfer waiting for its unpack task: the
-// section of the receive buffer it reads and that section's boxed key.
+// block it fills, and the section of the receive buffer it reads with that
+// section's region.
 type unpackJob struct {
 	tr  comm.Transfer
+	own int
 	sec []float64
-	key any
+	key task.Region
 }
 
-// dirKey folds the direction into buffer keys, or collapses all directions
-// onto one key space when buffers are shared.
-func (d *dataFlowDriver) dirKey(dir grid.Dir) int {
-	if d.s.cfg.SeparateBuffers {
-		return int(dir) + 1
+// interior is the interior of owned block i's variable group gi: written by
+// stencil, read by pack, by the fills of the neighbouring blocks and by the
+// checksum. A block is two regions, because its two parts have different
+// writers: the stencil writes the interior, the ghost exchange the halo.
+// Block state persists across timesteps, and graphlint matches it as one
+// class so the pack -> stencil -> checksum chain is visible at the phase
+// level.
+//
+//amr:region state
+//amr:hot allocs=0
+func (d *dataFlowDriver) interior(i, gi int) task.Region {
+	return d.interiors + task.Region(i*d.groups+gi)
+}
+
+// halo is the halo of the same range, all six faces: filled by the block's
+// fill task and its unpack tasks, consumed (and for the 27-point kernel
+// completed with edges and corners) by stencil.
+//
+//amr:region state
+//amr:hot allocs=0
+func (d *dataFlowDriver) halo(i, gi int) task.Region {
+	return d.halos + task.Region(i*d.groups+gi)
+}
+
+// section is transfer idx's section of the buffer of message pl. Sections
+// are per-stage: produced, consumed once, recycled. With shared buffers the
+// three directions' messages of one peer and message index share their
+// sections' regions (reproducing the false dependencies that
+// --separate_buffers removes).
+//
+//amr:region stage match=pl,idx
+//amr:hot allocs=0
+func section(pl *commPlan, idx int) task.Region { return pl.sec + task.Region(idx) }
+
+// slot is owned block i's checksum accumulator slot; parity alternates
+// between consecutive checksum stages for the delayed validation (class
+// matching: the delayed flush reads the other parity).
+//
+//amr:region stage
+//amr:hot allocs=0
+func (d *dataFlowDriver) slot(parity, i int) task.Region {
+	return d.slotRegs + task.Region(parity*len(d.blocks)+i)
+}
+
+// xfer orders the pack->send and recv->unpack pairs of the refinement block
+// exchange, by the move's data tag.
+//
+//amr:region stage match=recv
+//amr:hot allocs=0
+func (d *dataFlowDriver) xfer(tag int, recv bool) task.Region {
+	r := d.xfers + task.Region(2*(tag-exchangeData))
+	if recv {
+		r++
 	}
-	return 0
+	return r
 }
 
 // groupIndex converts a group's first variable to its index.
@@ -175,7 +175,7 @@ func (d *dataFlowDriver) groupIndex(g0 int) int { return g0 / d.s.cfg.CommVars }
 // plan brings what the driver derives from the mesh up to date: a no-op
 // within a mesh epoch. It runs on the spawning goroutine at the top of a
 // phase; the only rebuilds follow a refinement, which drained the graph,
-// so no task reads the storage it recycles.
+// so no task reads the storage it recycles or names a region it drops.
 func (d *dataFlowDriver) plan() {
 	s := d.s
 	if d.planned == s.epoch {
@@ -184,15 +184,66 @@ func (d *dataFlowDriver) plan() {
 	d.planned = s.epoch
 	owned := s.owned()
 	d.fill.build(owned, &s.scheds)
-	d.own = resetKeys(d.own, len(owned)*d.groups)
-	d.halo = resetKeys(d.halo, len(owned)*d.groups)
+	d.blocks = d.blocks[:0]
+	for _, bc := range owned {
+		d.blocks = append(d.blocks, s.data[bc])
+	}
+	d.g.ResetRegions()
+	n := len(owned) * d.groups
+	d.interiors = d.g.Reserve(2*n + 2*len(owned))
+	d.halos, d.slotRegs = d.interiors+task.Region(n), d.interiors+task.Region(2*n)
+	d.nxfers = 0 // the last exchange's regions went with the reset
+	// A message's sections are one run of regions. With shared buffers the
+	// three directions' messages of one peer and message index share the run
+	// at that place in a table of runs long enough for any message.
+	for _, plans := range [2]*[3][]commPlan{&s.recvPlans, &s.sendPlans} {
+		longest, msgs := 0, 0
+		for dir := range plans {
+			for _, pl := range plans[dir] {
+				longest, msgs = max(longest, len(pl.msg)), max(msgs, pl.mi+1)
+			}
+		}
+		var shared task.Region
+		if !s.cfg.SeparateBuffers {
+			shared = d.g.Reserve(s.comm.Size() * msgs * longest)
+		}
+		for dir := range plans {
+			for pi := range plans[dir] {
+				pl := &plans[dir][pi]
+				if s.cfg.SeparateBuffers {
+					pl.sec = d.g.Reserve(len(pl.msg))
+				} else {
+					pl.sec = shared + task.Region((pl.peer*msgs+pl.mi)*longest)
+				}
+			}
+		}
+	}
 }
 
-// resetKeys returns keys emptied and resized to n entries.
-func resetKeys(keys []any, n int) []any {
-	keys = slices.Grow(keys[:0], n)[:n]
-	clear(keys)
-	return keys
+// describe names a region in words for the sanitizer's reports.
+func (d *dataFlowDriver) describe(r task.Region) string {
+	s, nb := d.s, len(d.blocks)
+	n := nb * d.groups
+	switch i := int(r) - int(d.interiors); {
+	case i >= 0 && i < 2*n:
+		return fmt.Sprintf("%s %v group %d", [2]string{"interior", "halo"}[i/n], s.owned()[i%n/d.groups], i%d.groups)
+	case i >= 2*n && i < 2*n+2*nb:
+		return fmt.Sprintf("slot %v parity %d", s.owned()[(i-2*n)%nb], (i-2*n)/nb)
+	}
+	if i := int(r) - int(d.xfers); i >= 0 && i < d.nxfers {
+		return fmt.Sprintf("xfer tag=%d recv=%t", exchangeData+i/2, i%2 == 1)
+	}
+	for way, plans := range [2]*[3][]commPlan{&s.recvPlans, &s.sendPlans} {
+		for dir := range plans {
+			for _, pl := range plans[dir] {
+				if i := int(r) - int(pl.sec); i >= 0 && i < len(pl.msg) {
+					return fmt.Sprintf("section dir=%v peer=%d msg=%d idx=%d %s",
+						grid.Dir(dir), pl.peer, pl.mi, i, [2]string{"recv", "send"}[way])
+				}
+			}
+		}
+	}
+	return fmt.Sprintf("region %d", r.Index())
 }
 
 // communicate taskifies the ghost exchange (the paper's Algorithm 3): per
@@ -221,28 +272,26 @@ func (d *dataFlowDriver) communicate(g0, g1 int) error {
 	// in spawn order.
 	unpacks := d.unpacks[:0]
 	for dir := grid.DirX; dir <= grid.DirZ; dir++ {
-		dk := d.dirKey(dir)
-
 		// Receives: one task per incoming message; its completion is
 		// bound to the MPI request, so unpackers run only once the
 		// data arrived (the buffer must not be consumed in the task).
 		for pi := range s.recvPlans[dir] {
 			pl := &s.recvPlans[dir][pi]
-			peer, mi, msg, tag := pl.peer, pl.mi, pl.msg, pl.tag
+			peer, msg, tag := pl.peer, pl.msg, pl.tag
 			buf := s.recvBufs[dir].Buf(pi)[:pl.cells*gv]
-			// A message's section keys are the same at every stage of
-			// the epoch: box them once, on first use of the plan.
-			secs := pl.secs
-			if secs == nil {
-				secs = make([]any, len(msg))
-				for i := range msg {
-					secs[i] = sectKey{dirKey: dk, peer: peer, msg: mi, idx: i}
-				}
-				pl.secs = secs
+			secs := d.regs[:0]
+			off := 0
+			for i, tr := range msg {
+				sec, key := buf[off:off+tr.Len(gv)], section(pl, i)
+				off += tr.Len(gv)
+				secs = append(secs, key)
+				d.g.BindSection(key, sec)
+				unpacks = append(unpacks, unpackJob{tr: tr, own: pl.own[i], sec: sec, key: key})
 			}
+			d.regs = secs
 			d.g.Spawn("recv", func(t *task.Task) {
-				for _, k := range secs {
-					d.g.NoteWrite(t, k) // the arriving message fills every section
+				for i := range msg {
+					d.g.NoteWrite(t, section(pl, i)) // the arriving message fills every section
 				}
 				if s.cfg.BlockingTAMPI {
 					// TAMPI's blocking mode: the task pauses until the
@@ -261,59 +310,44 @@ func (d *dataFlowDriver) communicate(g0, g1 int) error {
 				d.g.RecordInFlight(t, "recv-wait", req)
 				d.g.X.Iwait(t, req)
 			}, d.g.Out(secs...)...)
-
-			off := 0
-			for i, tr := range msg {
-				sec := buf[off : off+tr.Len(gv)]
-				off += tr.Len(gv)
-				d.g.BindSection(secs[i], sec)
-				unpacks = append(unpacks, unpackJob{tr: tr, sec: sec, key: secs[i]})
-			}
 		}
 
 		// Sends: the message buffer is a fresh arena lease; pack tasks
 		// per face write their section of it, one send task per message
 		// depends on all the sections and transfers the lease to the
 		// MPI layer (the receiving rank returns it to the arena). The
-		// section keys — not the physical buffers — carry the paper's
+		// section regions — not the physical buffers — carry the paper's
 		// buffer-reuse dependencies, so chaining behaviour is unchanged.
 		// Packers read interiors only: they depend on the previous
 		// stage's stencil and on nothing of this stage.
 		for pi := range s.sendPlans[dir] {
 			pl := &s.sendPlans[dir][pi]
-			peer, mi, msg, tag := pl.peer, pl.mi, pl.msg, pl.tag
+			peer, msg, tag := pl.peer, pl.msg, pl.tag
 			lease := s.arena.LeaseFloat64(pl.cells * gv)
 			buf := lease.Float64()
-			secs := pl.secs
-			if secs == nil {
-				secs = make([]any, len(msg))
-				for i := range msg {
-					secs[i] = sectKey{dirKey: dk, peer: peer, msg: mi, send: true, idx: i}
-				}
-				pl.secs = secs
-			}
+			secs := d.regs[:0]
 			off := 0
 			for i, tr := range msg {
 				sec := buf[off : off+tr.Len(gv)]
 				off += tr.Len(gv)
-				secKey := secs[i]
-				// Struct keys are boxed once and shared between the
-				// access list and the sanitizer notes.
-				src := any(blockKey{c: tr.Src, g: gi})
+				secKey, src := section(pl, i), d.interior(pl.own[i], gi)
+				secs = append(secs, secKey)
+				blk := d.blocks[pl.own[i]]
 				d.g.Spawn("pack", func(t *task.Task) {
 					d.g.NoteRead(t, src)
 					d.g.NoteWrite(t, secKey)
 					s.rec.Span(s.rank, t.Worker(), "pack", func() {
-						comm.Pack(tr, s.data[tr.Src], g0, g1, sec)
+						comm.Pack(tr, blk, g0, g1, sec)
 					})
 				}, d.g.Merge(
 					d.g.In(src),
 					d.g.Out(secKey),
 				)...)
 			}
+			d.regs = secs
 			d.g.Spawn("send", func(t *task.Task) {
-				for _, k := range secs {
-					d.g.NoteRead(t, k) // the send serialises every packed section
+				for i := range msg {
+					d.g.NoteRead(t, section(pl, i)) // the send serialises every packed section
 				}
 				if s.cfg.BlockingTAMPI {
 					start := time.Now()
@@ -338,12 +372,13 @@ func (d *dataFlowDriver) communicate(g0, g1 int) error {
 	// Unpackers: consume the receives' buffer sections into block ghosts
 	// once the bound requests complete.
 	for _, uj := range unpacks {
-		dst := any(ghostKey{c: uj.tr.Recv, g: gi})
+		dst := d.halo(uj.own, gi)
+		blk := d.blocks[uj.own]
 		d.g.Spawn("unpack", func(t *task.Task) {
 			d.g.NoteRead(t, uj.key)
 			d.g.NoteWrite(t, dst)
 			s.rec.Span(s.rank, t.Worker(), "unpack", func() {
-				comm.Unpack(uj.tr, s.data[uj.tr.Recv], g0, g1, uj.sec)
+				comm.Unpack(uj.tr, blk, g0, g1, uj.sec)
 			})
 		}, d.g.Merge(
 			d.g.In(uj.key),
@@ -364,37 +399,27 @@ func (d *dataFlowDriver) communicate(g0, g1 int) error {
 func (d *dataFlowDriver) fillGhosts(g0, g1 int) {
 	s, fp := d.s, &d.fill
 	gi := d.groupIndex(g0)
-	owned := s.owned()
 	var from fillBlock
 	for _, fb := range fp.blocks {
-		dst := s.data[owned[fb.owned]]
+		dst := d.blocks[fb.owned]
 		copies, faces := fp.copies[from.copies:fb.copies], fp.faces[from.faces:fb.faces]
-		srcIdx := fp.srcs[from.srcs:fb.srcs]
+		srcIdx := fp.srcs[from.srcs:fb.srcs] // the copies' sources first
 		from = fb
-		srcs := d.keys[:0]
+		srcs := d.regs[:0]
 		for _, j := range srcIdx {
-			src := d.own[j*d.groups+gi]
-			if src == nil {
-				src = any(blockKey{c: owned[j], g: gi})
-				d.own[j*d.groups+gi] = src
-			}
-			srcs = append(srcs, src)
+			srcs = append(srcs, d.interior(j, gi))
 		}
-		d.keys = srcs
-		halo := d.halo[fb.owned*d.groups+gi]
-		if halo == nil {
-			halo = any(ghostKey{c: owned[fb.owned], g: gi})
-			d.halo[fb.owned*d.groups+gi] = halo
-		}
+		d.regs = srcs
+		halo := d.halo(fb.owned, gi)
 		d.g.Spawn("local-copy", func(t *task.Task) {
 			for _, j := range srcIdx {
-				d.g.NoteRead(t, d.own[j*d.groups+gi])
+				d.g.NoteRead(t, d.interior(j, gi))
 			}
 			d.g.NoteWrite(t, halo)
 			s.rec.Span(s.rank, t.Worker(), "local-copy", func() {
 				scratch := d.g.Scratch(t.Worker())
-				for _, tr := range copies {
-					comm.ExecuteLocal(tr, s.data[tr.Src], dst, g0, g1, scratch)
+				for k, tr := range copies {
+					comm.ExecuteLocal(tr, d.blocks[srcIdx[k]], dst, g0, g1, scratch)
 				}
 				for _, f := range faces {
 					dst.ApplyDomainBoundary(f.dir, f.side, g0, g1)
@@ -419,17 +444,8 @@ func (d *dataFlowDriver) stencil(g0, g1 int) error {
 	s := d.s
 	gi := d.groupIndex(g0)
 	d.plan()
-	for i, bc := range s.owned() {
-		blk := s.data[bc]
-		own, halo := d.own[i*d.groups+gi], d.halo[i*d.groups+gi]
-		if own == nil {
-			own = any(blockKey{c: bc, g: gi})
-			d.own[i*d.groups+gi] = own
-		}
-		if halo == nil {
-			halo = any(ghostKey{c: bc, g: gi})
-			d.halo[i*d.groups+gi] = halo
-		}
+	for i, blk := range d.blocks {
+		own, halo := d.interior(i, gi), d.halo(i, gi)
 		d.g.Spawn("stencil", func(t *task.Task) {
 			d.g.NoteRead(t, halo)
 			if s.cfg.Stencil == 27 {
@@ -455,27 +471,20 @@ func (d *dataFlowDriver) checksum() error {
 	d.parity ^= 1
 
 	d.plan()
-	owned := s.owned()
-	d.slots[par] = make(map[mesh.Coord][]float64, len(owned))
-	d.slotBlocks[par] = owned
-	for i, bc := range owned {
+	slots := slices.Grow(d.slots[par][:0], len(d.blocks))[:len(d.blocks)]
+	d.slots[par] = slots
+	for i, blk := range d.blocks {
 		slot := s.arena.GetFloat64(s.cfg.Vars) // Checksum overwrites it
-		d.slots[par][bc] = slot
-		blk := s.data[bc]
-		deps := d.keys[:0]
+		slots[i] = slot
+		deps := d.regs[:0]
 		for gi := 0; gi < d.groups; gi++ {
-			dep := d.own[i*d.groups+gi]
-			if dep == nil {
-				dep = any(blockKey{c: bc, g: gi})
-				d.own[i*d.groups+gi] = dep
-			}
-			deps = append(deps, dep)
+			deps = append(deps, d.interior(i, gi))
 		}
-		d.keys = deps
-		sum := any(slotKey{c: bc, parity: par})
+		d.regs = deps
+		sum := d.slot(par, i)
 		d.g.Spawn("cksum-local", func(t *task.Task) {
-			for _, dep := range d.own[i*d.groups : (i+1)*d.groups] {
-				d.g.NoteRead(t, dep)
+			for gi := 0; gi < d.groups; gi++ {
+				d.g.NoteRead(t, d.interior(i, gi))
 			}
 			d.g.NoteWrite(t, sum)
 			s.rec.Span(s.rank, t.Worker(), "cksum-local", func() {
@@ -495,27 +504,28 @@ func (d *dataFlowDriver) checksum() error {
 }
 
 // flushChecksum waits (with dependencies only) for one parity's local
-// reductions and runs the global reduction and validation.
+// reductions and runs the global reduction and validation. A pending
+// parity is always of the current epoch: quiesce settles both before a
+// refinement.
 func (d *dataFlowDriver) flushChecksum(par int) error {
 	if !d.pending[par] {
 		return nil
 	}
 	d.pending[par] = false
 	s := d.s
-	blocks := d.slotBlocks[par]
-	keys := make([]any, len(blocks))
-	for i, bc := range blocks {
-		keys[i] = slotKey{c: bc, parity: par}
+	sums := d.regs[:0]
+	for i := range d.slots[par] {
+		sums = append(sums, d.slot(par, i))
 	}
-	d.g.WaitKeys(keys...)
+	d.regs = sums
+	d.g.WaitKeys(sums...)
 	if err := d.g.X.Err(); err != nil {
 		return err
 	}
-	local := s.combineBlockSums(blocks, d.slots[par])
-	for _, bc := range blocks {
-		s.arena.PutFloat64(d.slots[par][bc])
+	local := s.combineBlockSums(d.slots[par])
+	for _, slot := range d.slots[par] {
+		s.arena.PutFloat64(slot)
 	}
-	d.slots[par] = nil
 	return s.reduceAndValidate(local)
 }
 
@@ -637,6 +647,10 @@ type taskMover struct {
 	d *dataFlowDriver
 }
 
+func (m *taskMover) begin(moves int) {
+	m.d.xfers, m.d.nxfers = m.d.g.Reserve(2*moves), 2*moves
+}
+
 // sendBlock is anchored directly: the exchange protocol reaches it only
 // through the blockMover interface, which static extraction cannot see
 // through.
@@ -648,7 +662,7 @@ func (m *taskMover) sendBlock(bc mesh.Coord, blk *grid.Data, to, tag int) {
 	d := m.d
 	s := d.s
 	lease := s.arena.LeaseFloat64(blk.InteriorLen())
-	key := any(xferKey{tag: tag})
+	key := d.xfer(tag, false)
 	d.g.Spawn("exchange-pack", func(t *task.Task) {
 		d.g.NoteWrite(t, key)
 		s.rec.Span(s.rank, t.Worker(), "exchange-pack", func() { blk.PackInterior(lease.Float64()) })
@@ -669,7 +683,7 @@ func (m *taskMover) recvBlock(bc mesh.Coord, from, tag int) *grid.Data {
 	s := d.s
 	blk := s.newBlockData(bc, false)
 	buf := s.arena.GetFloat64(blk.InteriorLen())
-	key := any(xferKey{tag: tag, recv: true})
+	key := d.xfer(tag, true)
 	d.g.Spawn("exchange-recv", func(t *task.Task) {
 		d.g.NoteWrite(t, key)
 		if err := d.g.X.Irecv(t, buf, from, tag); err != nil {

@@ -22,6 +22,9 @@ const (
 // data-flow driver spawns TAMPI tasks. Control messages always flow on the
 // calling (main) goroutine, matching the paper's design.
 type blockMover interface {
+	// begin opens a run of the protocol over the given number of moves;
+	// their data tags are exchangeData plus the move's index.
+	begin(moves int)
 	// sendBlock transmits the payload of an owned block to rank `to` with
 	// the given tag. It may run asynchronously until barrier.
 	sendBlock(bc mesh.Coord, d *grid.Data, to, tag int)
@@ -68,6 +71,7 @@ func (s *state) exchangeBlocks(moves []mesh.Move, mv blockMover) error {
 	// eagerly, so the buffer can be reused immediately.
 	ctl := s.arena.GetInt(1)
 	defer s.arena.PutInt(ctl)
+	mv.begin(len(moves))
 
 	for round := 0; len(pending) > 0; round++ {
 		if round > 2*len(moves)+2 {

@@ -2,7 +2,6 @@ package app
 
 import (
 	"fmt"
-	"slices"
 
 	"miniamr/internal/amr/comm"
 	"miniamr/internal/amr/grid"
@@ -55,12 +54,8 @@ func (p *fillPlan) build(owned []mesh.Coord, scheds *[3]*comm.Schedule) {
 		for dir, sc := range scheds {
 			for l := &local[dir]; *l < len(sc.Local) && sc.Local[*l].Recv == bc; *l++ {
 				tr := sc.Local[*l]
-				src, ok := slices.BinarySearchFunc(owned, tr.Src, mesh.Coord.Compare)
-				if !ok {
-					panic(fmt.Sprintf("app: local transfer into %v from %v, which rank %d does not own", bc, tr.Src, sc.Rank))
-				}
 				p.copies = append(p.copies, tr)
-				p.srcs = append(p.srcs, src)
+				p.srcs = append(p.srcs, ownedIndex(owned, tr.Src))
 			}
 			for b := &bound[dir]; *b < len(sc.Boundary) && sc.Boundary[*b].Block == bc; *b++ {
 				p.faces = append(p.faces, fillFace{dir: sc.Dir, side: sc.Boundary[*b].Side})

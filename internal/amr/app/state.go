@@ -2,6 +2,7 @@ package app
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"miniamr/internal/amr/balance"
@@ -12,6 +13,7 @@ import (
 	"miniamr/internal/driver"
 	"miniamr/internal/membuf"
 	"miniamr/internal/mpi"
+	"miniamr/internal/task"
 	"miniamr/internal/trace"
 )
 
@@ -48,6 +50,7 @@ type state struct {
 	sendPlans [3][]commPlan
 	recvPlans [3][]commPlan
 	recvBufs  [3]driver.Slabs
+	planOwn   []int // backs every plan's own list; storage kept across epochs
 
 	oracle      driver.Oracle // cross-variant checksum history + drift validation
 	flops       int64
@@ -71,9 +74,14 @@ type commPlan struct {
 	tag   int
 	cells int
 	msg   []comm.Transfer
-	// secs caches the data-flow driver's boxed dependency keys of the
-	// message's buffer sections, one per transfer, filled on first use.
-	secs []any
+	// own holds, per transfer, the index in owned() of the block this rank
+	// contributes: the source of an outgoing transfer, the receiver of an
+	// incoming one.
+	own []int
+	// sec is the data-flow driver's region of the message's first buffer
+	// section; the other transfers' follow it. The driver's plan reserves
+	// them.
+	sec task.Region
 }
 
 // MeshStat is a snapshot of the mesh shape after a refinement epoch; the
@@ -167,32 +175,50 @@ func (s *state) rebuildComm() error {
 	s.releaseRecvBufs()
 	s.epoch++
 	s.ownedList = s.msh.Owned(s.rank)
+	transfers := 0
 	for dir := grid.DirX; dir <= grid.DirZ; dir++ {
 		sched, err := comm.BuildSchedule(s.msh, s.rank, dir, s.cfg.BlockSize)
 		if err != nil {
 			return err
 		}
 		s.scheds[dir] = sched
+		for _, pe := range sched.Peers {
+			transfers += len(pe.Send) + len(pe.Recv)
+		}
+	}
+	// Sized up front: the plans keep subslices of it while it is appended to.
+	s.planOwn = slices.Grow(s.planOwn[:0], transfers)
+	for dir, sched := range s.scheds {
 		s.sendPlans[dir] = s.sendPlans[dir][:0]
 		s.recvPlans[dir] = s.recvPlans[dir][:0]
 		for _, pe := range sched.Peers {
 			for mi, msg := range comm.Chunk(pe.Send, s.chunkCap) {
-				s.sendPlans[dir] = append(s.sendPlans[dir], commPlan{
-					peer: pe.Peer, mi: mi, tag: comm.Tag(dir, mi),
-					cells: comm.MessageLen(msg, 1), msg: msg,
-				})
+				s.sendPlans[dir] = append(s.sendPlans[dir], s.newPlan(sched.Dir, pe.Peer, mi, msg, true))
 			}
 			for mi, msg := range comm.Chunk(pe.Recv, s.chunkCap) {
-				pl := commPlan{
-					peer: pe.Peer, mi: mi, tag: comm.Tag(dir, mi),
-					cells: comm.MessageLen(msg, 1), msg: msg,
-				}
+				pl := s.newPlan(sched.Dir, pe.Peer, mi, msg, false)
 				s.recvPlans[dir] = append(s.recvPlans[dir], pl)
 				s.recvBufs[dir].Grab(pl.cells * s.cfg.CommVars)
 			}
 		}
 	}
 	return nil
+}
+
+// newPlan plans one ghost message of the epoch being built.
+func (s *state) newPlan(dir grid.Dir, peer, mi int, msg []comm.Transfer, send bool) commPlan {
+	from := len(s.planOwn)
+	for _, tr := range msg {
+		bc := tr.Recv
+		if send {
+			bc = tr.Src
+		}
+		s.planOwn = append(s.planOwn, ownedIndex(s.ownedList, bc))
+	}
+	return commPlan{
+		peer: peer, mi: mi, tag: comm.Tag(dir, mi),
+		cells: comm.MessageLen(msg, 1), msg: msg, own: s.planOwn[from:len(s.planOwn):len(s.planOwn)],
+	}
 }
 
 // releaseRecvBufs returns the receive slabs to the arena. Callers must
@@ -214,6 +240,16 @@ func (s *state) close() {
 	}
 	s.data = nil
 	s.releaseRecvBufs()
+}
+
+// ownedIndex returns the position of bc in owned, a rank's sorted block
+// list. The schedules only name blocks of the rank on its side of a transfer.
+func ownedIndex(owned []mesh.Coord, bc mesh.Coord) int {
+	i, ok := slices.BinarySearchFunc(owned, bc, mesh.Coord.Compare)
+	if !ok {
+		panic(fmt.Sprintf("app: the schedules move a face of %v, which the rank does not own", bc))
+	}
+	return i
 }
 
 // owned returns the rank's blocks in deterministic order: the list
@@ -300,14 +336,15 @@ func (s *state) advanceObjects() {
 	}
 }
 
-// combineBlockSums folds per-block per-variable sums into global-order
-// local sums: blocks are combined in coordinate order so the result is
-// bit-deterministic regardless of which worker produced each block's sums.
-// The result is a pooled buffer; reduceAndValidate takes ownership of it.
+// combineBlockSums folds per-block per-variable sums, listed in the order of
+// owned(), into global-order local sums: blocks are combined in coordinate
+// order so the result is bit-deterministic regardless of which worker
+// produced each block's sums. The result is a pooled buffer;
+// reduceAndValidate takes ownership of it.
 //
 //amr:det
-func (s *state) combineBlockSums(blocks []mesh.Coord, perBlock map[mesh.Coord][]float64) []float64 {
-	return driver.CombineSums(s.arena, s.cfg.Vars, blocks, perBlock)
+func (s *state) combineBlockSums(perBlock [][]float64) []float64 {
+	return driver.CombineSums(s.arena, s.cfg.Vars, perBlock)
 }
 
 // reduceAndValidate completes a checksum: global reduction across ranks,

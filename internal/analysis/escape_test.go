@@ -144,7 +144,8 @@ func TestRepoHotBudgets(t *testing.T) {
 		t.Fatalf("suspiciously few //amr:hot functions (%d): directives lost?", len(hots))
 	}
 	sites := buildEscapes(t,
-		"./internal/mpi", "./internal/tampi", "./internal/membuf", "./internal/driver")
+		"./internal/mpi", "./internal/tampi", "./internal/membuf", "./internal/driver",
+		"./internal/task", "./internal/amr/app", "./internal/hydro")
 	for _, f := range CheckEscapes(hots, sites) {
 		t.Errorf("hot-path budget violation: %v", f)
 	}

@@ -19,16 +19,18 @@ import (
 //
 //	//amr:region <state|stage> [match=f1,f2]
 //
-// on a dependency-key struct type declares how keys of that type name
-// regions (see regionSpec). The extractor walks each anchored function
-// abstractly — one pass per loop body, a single mutable environment —
-// evaluating expressions into symval terms, and materialises task.Spawn
-// calls, point-to-point sends/receives, collectives and WaitKeys sinks
-// as graph nodes. In-package callees resolve through the type-check
-// (with a unique-bare-name fallback, since the tolerant loader cannot
-// always resolve method references) and are walked inline, so helpers
-// like flushChecksum or reduceAndValidate contribute their events to
-// the anchored phase that reaches them.
+// on a function that returns a region handle from indices (or on a
+// dependency-key struct type of the any-keyed front door) declares how its
+// results name regions (see regionSpec): a call evaluates to a term of the
+// function's class whose fields are its arguments, named by the parameters.
+// The extractor walks each anchored function abstractly — one pass per loop
+// body, a single mutable environment — evaluating expressions into symval
+// terms, and materialises task.Spawn calls, point-to-point sends/receives,
+// collectives and WaitKeys sinks as graph nodes. In-package callees resolve
+// through the type-check (with a unique-bare-name fallback, since the
+// tolerant loader cannot always resolve method references) and are walked
+// inline, so helpers like flushChecksum or reduceAndValidate contribute their
+// events to the anchored phase that reaches them.
 
 const maxInlineDepth = 8
 
@@ -63,7 +65,8 @@ type parSpec struct {
 // extractor indexes one package's directives, types and functions.
 type extractor struct {
 	pass    *Pass
-	structs map[string]*structInfo
+	structs map[string]*structInfo        // struct types, and region functions by name
+	regions map[*ast.FuncDecl]*structInfo // //amr:region functions
 	byObj   map[types.Object]*ast.FuncDecl
 	byName  map[string]*ast.FuncDecl // nil value: name is ambiguous
 	anchors []graphAnchor
@@ -73,6 +76,7 @@ func newExtractor(pass *Pass) *extractor {
 	ex := &extractor{
 		pass:    pass,
 		structs: make(map[string]*structInfo),
+		regions: make(map[*ast.FuncDecl]*structInfo),
 		byObj:   make(map[types.Object]*ast.FuncDecl),
 		byName:  make(map[string]*ast.FuncDecl),
 	}
@@ -113,6 +117,15 @@ func (ex *extractor) indexFunc(fd *ast.FuncDecl) {
 		ex.byName[fd.Name.Name] = nil // ambiguous
 	} else {
 		ex.byName[fd.Name.Name] = fd
+	}
+	if spec := ex.parseRegion(fd.Doc, fd.Pos()); spec != nil {
+		info := &structInfo{name: fd.Name.Name, region: spec}
+		for _, field := range fd.Type.Params.List {
+			for _, name := range field.Names {
+				info.fields = append(info.fields, structField{name: name.Name, zero: zeroFor(field.Type)})
+			}
+		}
+		ex.regions[fd], ex.structs[info.name] = info, info
 	}
 	pars := ex.parsePars(fd)
 	if dir, ok := directiveLine(fd.Doc, "amr:graph"); ok {
@@ -184,27 +197,35 @@ func (ex *extractor) indexType(ts *ast.TypeSpec, doc *ast.CommentGroup) {
 			info.fields = append(info.fields, structField{name: name.Name, zero: zero})
 		}
 	}
-	if dir, ok := directiveLine(doc, "amr:region"); ok {
-		spec := &regionSpec{}
-		for _, f := range strings.Fields(dir) {
-			switch {
-			case f == "state" || f == "stage":
-				spec.kind = f
-			case strings.HasPrefix(f, "match="):
-				for _, m := range strings.Split(strings.TrimPrefix(f, "match="), ",") {
-					if m != "" {
-						spec.match = append(spec.match, m)
-					}
+	info.region = ex.parseRegion(doc, ts.Pos())
+	ex.structs[info.name] = info
+}
+
+// parseRegion reads the //amr:region directive of a doc comment, nil when
+// there is none (or a malformed one, which it reports).
+func (ex *extractor) parseRegion(doc *ast.CommentGroup, pos token.Pos) *regionSpec {
+	dir, ok := directiveLine(doc, "amr:region")
+	if !ok {
+		return nil
+	}
+	spec := &regionSpec{}
+	for _, f := range strings.Fields(dir) {
+		switch {
+		case f == "state" || f == "stage":
+			spec.kind = f
+		case strings.HasPrefix(f, "match="):
+			for _, m := range strings.Split(strings.TrimPrefix(f, "match="), ",") {
+				if m != "" {
+					spec.match = append(spec.match, m)
 				}
 			}
 		}
-		if spec.kind == "" {
-			ex.pass.Reportf(ts.Pos(), "malformed //amr:region directive: need state or stage")
-		} else {
-			info.region = spec
-		}
 	}
-	ex.structs[info.name] = info
+	if spec.kind == "" {
+		ex.pass.Reportf(pos, "malformed //amr:region directive: need state or stage")
+		return nil
+	}
+	return spec
 }
 
 // directiveLine finds `//<prefix> rest` in a comment group.
@@ -800,6 +821,15 @@ func (w *gwalker) inline(call *ast.CallExpr, fd *ast.FuncDecl) symval {
 		recvVal = w.eval(sel.X)
 	}
 	vals := w.evalArgs(call)
+	if info := w.ex.regions[fd]; info != nil {
+		st := &symStruct{info: info, fields: make(map[string]symval)}
+		for i, f := range info.fields {
+			if i < len(vals) {
+				st.fields[f.name] = vals[i]
+			}
+		}
+		return st
+	}
 
 	sub := &gwalker{
 		ex: w.ex, g: w.g, phase: w.phase, cur: w.cur,

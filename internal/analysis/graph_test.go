@@ -74,13 +74,13 @@ func TestGraphStructure(t *testing.T) {
 	// stencil may not overwrite an interior that a neighbour's fill or a
 	// pack still reads.
 	want := map[string]string{
-		"communicate/pack -> communicate/send":         "flow sectKey",
-		"communicate/recv -> communicate/unpack":       "flow sectKey",
-		"communicate/local-copy -> communicate/unpack": "flow ghostKey",
-		"communicate/unpack -> stencil/stencil":        "flow ghostKey",
-		"communicate/pack -> stencil/stencil":          "anti blockKey",
-		"communicate/local-copy -> stencil/stencil":    "anti blockKey",
-		"stencil/stencil -> checksum/cksum-local":      "flow blockKey",
+		"communicate/pack -> communicate/send":         "flow section",
+		"communicate/recv -> communicate/unpack":       "flow section",
+		"communicate/local-copy -> communicate/unpack": "flow halo",
+		"communicate/unpack -> stencil/stencil":        "flow halo",
+		"communicate/pack -> stencil/stencil":          "anti interior",
+		"communicate/local-copy -> stencil/stencil":    "anti interior",
+		"stencil/stencil -> checksum/cksum-local":      "flow interior",
 	}
 	for e, kind := range want {
 		if edges[e] != kind {

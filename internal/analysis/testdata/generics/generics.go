@@ -1,13 +1,13 @@
 // Fixture for the loader's generics coverage: the shapes the runtime
-// actually uses — a type-parameterised reduction (driver.CombineSums[K])
-// and a generic struct with pointer-receiver methods (driver.Plans[S]) —
-// must type-check under the tolerant loader well enough for every
+// uses or used — a type-parameterised reduction (driver.CombineSums while
+// it folded a keyed map) and a generic struct with pointer-receiver
+// methods (driver.Plans[S]) — must type-check under the tolerant loader well enough for every
 // analyzer to walk them without spurious findings.
 package generics
 
 import "sort"
 
-// combineSums mirrors driver.CombineSums[K comparable]: a fold over an
+// combineSums is the keyed form driver.CombineSums had: a fold over an
 // explicit key slice, so the map is only indexed, never ranged.
 func combineSums[K comparable](vars int, blocks []K, perBlock map[K][]float64) []float64 {
 	out := make([]float64, vars)

@@ -79,6 +79,36 @@ func droppedEdge(rt *runtime) {
 	rt.Spawn("send", func() {}, In(stageKey{idx: 0}))
 }
 
+// --- regions as handle functions: a call is a term of the function's
+// class, its parameters the fields; a section nobody reads is still dead ---
+
+type region int
+
+// section is section idx of message buffer b.
+//
+//amr:region stage match=b,idx
+func section(b *plan, idx int) region { return region(b.tag + idx) }
+
+// cells is block i's persistent state.
+//
+//amr:region state
+func (r *runtime) cells(i int) region { return region(i) }
+
+//amr:graph driver=handles phase=pipeline seq=1
+func handlePipeline(rt *runtime, sendPlans, recvPlans []plan) {
+	for i := range sendPlans {
+		pl := &sendPlans[i]
+		rt.Spawn("pack", func() {}, In(rt.cells(i)), Out(section(pl, 0)))
+		rt.Spawn("send", func() {}, In(section(pl, 0)))
+	}
+	for i := range recvPlans {
+		pl := &recvPlans[i]
+		rt.Spawn("recv", func() {}, Out(section(pl, 0)))  // want "dead write"
+		rt.Spawn("unpack", func() {}, In(section(pl, 1)), // want "read-before-write"
+			InOut(rt.cells(i)))
+	}
+}
+
 // --- orphan in: a staged section read before anything writes it ---
 
 //amr:graph driver=rbw phase=pipeline seq=1
@@ -132,3 +162,6 @@ func malformedAnchor(rt *runtime) { // want "malformed //amr:graph directive"
 type badKey struct { // want "malformed //amr:region directive"
 	v int
 }
+
+//amr:region
+func badRegion(i int) region { return region(i) } // want "malformed //amr:region directive"

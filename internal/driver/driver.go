@@ -5,8 +5,9 @@
 // variants (MPI-only, fork-join, data-flow), the shared main loop, the
 // checksum oracle, pooled communication slabs and cached message plans,
 // and the two execution engines all live here, so an application only
-// contributes stage definitions (pack/compute/reduce bodies and their
-// dependency keys).
+// contributes stage definitions (pack/compute/reduce bodies and, for the
+// graph engine, the dependency regions they access: integer handles the
+// application reserves on the engine and computes from its own indices).
 //
 // An application integrates in three steps:
 //

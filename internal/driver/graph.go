@@ -33,6 +33,9 @@ type GraphOptions struct {
 	Observer task.Observer
 	// ScratchLen sizes the per-worker staging buffers.
 	ScratchLen int
+	// Describe, when non-nil, names one of the driver's regions in words for
+	// the sanitizer's reports; it is called only while one is being built.
+	Describe func(task.Region) string
 }
 
 // GraphEngine is the data-flow variant's execution engine: a task runtime
@@ -66,6 +69,7 @@ func NewGraphEngine(o GraphOptions) (*GraphEngine, error) {
 		// runtime's nil check stays meaningful (a nil *DepSanitizer in an
 		// interface would not compare equal to nil).
 		san = o.Sanitizer.Observer(o.Comm.Rank())
+		san.Describe = o.Describe
 		opts.Observer = task.Tee(san, o.Observer)
 	} else {
 		opts.Observer = o.Observer
@@ -89,6 +93,15 @@ func NewGraphEngine(o GraphOptions) (*GraphEngine, error) {
 	return g, nil
 }
 
+// Reserve registers n consecutive dependency regions with the task runtime
+// and returns the handle of the first. Drivers reserve what a mesh epoch
+// needs in one go and address it by arithmetic on indices they already have.
+func (g *GraphEngine) Reserve(n int) task.Region { return g.rt.Reserve(n) }
+
+// ResetRegions drops every region reserved so far, for a driver about to
+// reserve a new epoch's. The graph must have drained.
+func (g *GraphEngine) ResetRegions() { g.rt.ResetRegions() }
+
 // Spawn submits a task with the given dependency accesses, and recycles
 // the lists In/Out/InOut/Merge built for it.
 func (g *GraphEngine) Spawn(label string, body func(*task.Task), accs ...task.Access) {
@@ -96,25 +109,28 @@ func (g *GraphEngine) Spawn(label string, body func(*task.Task), accs ...task.Ac
 	g.accs = g.accs[:0]
 }
 
-// In, Out, InOut and Merge are task.In/Out/InOut/Merge building into one
-// buffer the engine reuses, so declaring a task's accesses allocates
-// nothing. The lists are valid until the engine's next Spawn, which does
-// not retain them; like Spawn they are for the rank's spawning goroutine
-// only. Keys of struct type are boxed by the caller: convert a key to any
-// once and pass the same value here and to NoteRead/NoteWrite.
-func (g *GraphEngine) In(keys ...any) []task.Access { return g.build(task.ModeIn, keys) }
+// In, Out and InOut build a task's accesses on regions by handle, and Merge
+// concatenates them, into one buffer the engine reuses, so declaring a
+// task's accesses allocates nothing. The lists are valid until the engine's
+// next Spawn or WaitKeys, which do not retain them; like Spawn they are for
+// the rank's spawning goroutine only.
+func (g *GraphEngine) In(regions ...task.Region) []task.Access { return g.build(task.ModeIn, regions) }
 
 // Out is the write-access counterpart of In.
-func (g *GraphEngine) Out(keys ...any) []task.Access { return g.build(task.ModeOut, keys) }
+func (g *GraphEngine) Out(regions ...task.Region) []task.Access {
+	return g.build(task.ModeOut, regions)
+}
 
 // InOut is the read-write counterpart of In.
-func (g *GraphEngine) InOut(keys ...any) []task.Access { return g.build(task.ModeInOut, keys) }
+func (g *GraphEngine) InOut(regions ...task.Region) []task.Access {
+	return g.build(task.ModeInOut, regions)
+}
 
 //amr:hot allocs=0
-func (g *GraphEngine) build(m task.Mode, keys []any) []task.Access {
+func (g *GraphEngine) build(m task.Mode, regions []task.Region) []task.Access {
 	from := len(g.accs)
-	for _, k := range keys {
-		g.accs = append(g.accs, task.Access{Key: k, Mode: m})
+	for _, r := range regions {
+		g.accs = append(g.accs, task.Access{Region: r, Mode: m})
 	}
 	return g.accs[from:]
 }
@@ -133,9 +149,12 @@ func (g *GraphEngine) Merge(lists ...[]task.Access) []task.Access {
 // Wait blocks until every spawned task completed (a global taskwait).
 func (g *GraphEngine) Wait() { g.rt.Wait() }
 
-// WaitKeys blocks until the tasks writing the given dependency keys
-// completed (a taskwait with dependencies).
-func (g *GraphEngine) WaitKeys(keys ...any) { g.rt.WaitKeys(keys...) }
+// WaitKeys blocks until the tasks writing the given regions completed (a
+// taskwait with dependencies).
+func (g *GraphEngine) WaitKeys(regions ...task.Region) {
+	g.rt.WaitAccess(g.In(regions...)...)
+	g.accs = g.accs[:0]
+}
 
 // SpawnCount returns the number of tasks spawned so far.
 func (g *GraphEngine) SpawnCount() int { return g.rt.SpawnCount() }
@@ -145,26 +164,26 @@ func (g *GraphEngine) Scratch(w int) []float64 { return g.scratches[w] }
 
 // NoteRead reports a task's actual read to the dependency-race
 // sanitizer. With the sanitizer off it is a nil check.
-func (g *GraphEngine) NoteRead(t *task.Task, key any) {
+func (g *GraphEngine) NoteRead(t *task.Task, r task.Region) {
 	if g.san != nil {
-		g.san.NoteRead(t, key)
+		g.san.NoteRead(t, r)
 	}
 }
 
 // NoteWrite reports a task's actual write to the sanitizer.
-func (g *GraphEngine) NoteWrite(t *task.Task, key any) {
+func (g *GraphEngine) NoteWrite(t *task.Task, r task.Region) {
 	if g.san != nil {
-		g.san.NoteWrite(t, key)
+		g.san.NoteWrite(t, r)
 	}
 }
 
-// BindSection registers which storage a buffer-section key stands for, so
-// the sanitizer can flag one buffer bound under two keys. Only persistent
-// buffers should be bound: sections of per-stage arena leases are
-// legitimately recycled under fresh keys.
-func (g *GraphEngine) BindSection(key any, sec []float64) {
+// BindSection registers which storage a buffer-section region stands for,
+// so the sanitizer can flag one buffer bound under two regions. Only
+// persistent buffers should be bound: sections of per-stage arena leases are
+// legitimately recycled under other regions.
+func (g *GraphEngine) BindSection(r task.Region, sec []float64) {
 	if g.san != nil && len(sec) > 0 {
-		g.san.BindRegion(key, &sec[0])
+		g.san.BindRegion(r, &sec[0])
 	}
 }
 

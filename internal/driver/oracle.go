@@ -51,17 +51,17 @@ func (o *Oracle) Accept(global []float64) error {
 func (o *Oracle) Reset() { o.prev = nil }
 
 // CombineSums folds per-block per-variable sums into deterministic local
-// sums: blocks are combined in the caller's key order so the result is
-// bit-identical regardless of which worker produced each block's sums.
-// The result is a pooled arena buffer; the caller owns it and must put it
-// back (typically after the global reduction).
+// sums: blocks are combined in the order of perBlock, the application's
+// canonical block order, so the result is bit-identical regardless of which
+// worker produced each block's sums. The result is a pooled arena buffer;
+// the caller owns it and must put it back (typically after the global
+// reduction).
 //
 //amr:det
-func CombineSums[K comparable](a *membuf.Arena, vars int, blocks []K, perBlock map[K][]float64) []float64 {
+func CombineSums(a *membuf.Arena, vars int, perBlock [][]float64) []float64 {
 	out := a.GetFloat64(vars)
 	clear(out)
-	for _, k := range blocks {
-		sums := perBlock[k]
+	for _, sums := range perBlock {
 		for v := range sums {
 			out[v] += sums[v]
 		}

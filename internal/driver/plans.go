@@ -1,6 +1,9 @@
 package driver
 
-import "miniamr/internal/membuf"
+import (
+	"miniamr/internal/membuf"
+	"miniamr/internal/task"
+)
 
 // Slabs is a set of pooled arena buffers with a common lifetime — the
 // receive slabs of one communication epoch. The buffers are grabbed when
@@ -49,9 +52,9 @@ type Plan[S any] struct {
 	Tag   int
 	Cells int
 	Segs  []S
-	// Keys caches the data-flow variant's boxed dependency keys of the
-	// message's buffer sections, one per segment, filled on first use.
-	Keys []any
+	// Sec is the data-flow variant's region of the message's first buffer
+	// section; the other segments' follow it. The graph driver reserves them.
+	Sec task.Region
 }
 
 // Plans caches one direction's send and receive message plans together

@@ -177,17 +177,17 @@ func (d *toyLoopDriver) Quiesce() error            { return nil }
 func (d *toyLoopDriver) Refine(bool) (bool, error) { return false, nil }
 func (d *toyLoopDriver) Drain() error              { return nil }
 
-// toyDataFlow taskifies the stages on the GraphEngine.
+// toyDataFlow taskifies the stages on the GraphEngine. Its four dependency
+// regions are reserved once: ghost cell 0, ghost cell 1, the cells, the sum.
 type toyDataFlow struct {
-	s *toyState
-	g *driver.GraphEngine
+	s       *toyState
+	g       *driver.GraphEngine
+	regions task.Region
 }
 
-type (
-	toyCellsKey struct{}
-	toyGhostKey struct{ side int }
-	toySumKey   struct{}
-)
+func (d *toyDataFlow) ghost(side int) task.Region { return d.regions + task.Region(side) }
+func (d *toyDataFlow) cells() task.Region         { return d.regions + 2 }
+func (d *toyDataFlow) sum() task.Region           { return d.regions + 3 }
 
 func (d *toyDataFlow) BeginStep(int) error { return nil }
 
@@ -205,7 +205,7 @@ func (d *toyDataFlow) Communicate(_, _, _ int) error {
 				panic(err)
 			}
 			d.g.X.Iwait(t, req)
-		}, task.Out(toyGhostKey{side: side})...)
+		}, d.g.Out(d.ghost(side))...)
 	}
 	for i := range s.plans.SendPlans {
 		pl := &s.plans.SendPlans[i]
@@ -216,7 +216,7 @@ func (d *toyDataFlow) Communicate(_, _, _ int) error {
 			if err := d.g.X.IsendOwned(t, lease, peer, tag); err != nil {
 				panic(err)
 			}
-		}, task.In(toyCellsKey{})...)
+		}, d.g.In(d.cells())...)
 	}
 	return d.g.X.Err()
 }
@@ -229,9 +229,9 @@ func (d *toyDataFlow) Compute(_, _, _ int) error {
 		}
 		s.sweepInto(s.next, 0, toyCells)
 		copy(s.cur, s.next)
-	}, task.Merge(
-		task.In(toyGhostKey{side: 0}, toyGhostKey{side: 1}),
-		task.InOut(toyCellsKey{}),
+	}, d.g.Merge(
+		d.g.In(d.ghost(0), d.ghost(1)),
+		d.g.InOut(d.cells()),
 	)...)
 	return nil
 }
@@ -241,8 +241,8 @@ func (d *toyDataFlow) Checksum(int) error {
 	slot := s.arena.GetFloat64(1)
 	d.g.Spawn("cksum", func(*task.Task) {
 		slot[0] = s.localSum()
-	}, task.Merge(task.In(toyCellsKey{}), task.Out(toySumKey{}))...)
-	d.g.WaitKeys(toySumKey{})
+	}, d.g.Merge(d.g.In(d.cells()), d.g.Out(d.sum()))...)
+	d.g.WaitKeys(d.sum())
 	if err := d.g.X.Err(); err != nil {
 		return err
 	}
@@ -293,7 +293,7 @@ func (toyJob) Bind(v driver.Variant, workers int, _ *sanitize.Sanitizer) (driver
 			if err != nil {
 				return driver.Result{}, err
 			}
-			h = &toyDataFlow{s: s, g: g}
+			h = &toyDataFlow{s: s, g: g, regions: g.Reserve(4)}
 			cleanup = g.Close
 		default:
 			return driver.Result{}, fmt.Errorf("toy: unknown variant %q", v)

@@ -23,6 +23,7 @@ func (c *stencilCounter) TaskSpawned(_ uint64, label string, _ []task.Access) {
 func (c *stencilCounter) TaskDependence(uint64, uint64) {}
 func (c *stencilCounter) TaskFinished(uint64)           {}
 func (c *stencilCounter) Quiesced()                     {}
+func (c *stencilCounter) RegionsReset()                 {}
 
 // TestDataFlowAllocsPerTask guards the data-flow variant's end-to-end
 // allocation budget — heap objects of a whole run (mesh, plans, refinement
@@ -30,13 +31,14 @@ func (c *stencilCounter) Quiesced()                     {}
 // runtime-bound workloads, all as 2 ranks x 2 cores: miniAMR on small
 // blocks at level 3 with the paper's data-flow options, the same refining
 // after every single-stage timestep, and HYDRO on 16x16 tiles with
-// separate buffers. A task needs its body closure; the keys it declares
-// are boxed once per mesh epoch, and the runtime (task records, successor
-// lists, access lists) and the task-aware MPI binding add a fraction of an
-// object on top. The budgets are the benchmark's readings when the ghost
-// exchange became one fill task per block (1.9, 5.7, 1.1) plus headroom:
-// per-face copy tasks sat at 3.3, 9.1 and 1.1, the goroutine-per-task
-// runtime before them at 14, 19 and 10.
+// separate buffers. A task needs its body closure; the regions it declares
+// are integer handles, and the runtime (task records, successor lists) and
+// the task-aware MPI binding add a fraction of an object on top. The budgets
+// are this test's readings since regions became handles (1.3 to 2.2 — the
+// first runs of a process read high —, 2.1 and 1.1), rounded up to the next
+// half: boxed keys on a hashed dependency map sat at 1.7 to 2.5, 5.6 and 1.1,
+// per-face copy tasks before them at 3.3, 9.1 and 1.1, the
+// goroutine-per-task runtime at 14, 19 and 10.
 //
 // On miniAMR it also guards the granularity: tasks per block and stage.
 // Stencil, fill and the block's share of messages and checksums make 2.6;
@@ -73,9 +75,9 @@ func TestDataFlowAllocsPerTask(t *testing.T) {
 		budget   float64
 		stencils *stencilCounter // set where the granularity is guarded too
 	}{
-		{"miniamr-fine", RunSpec{Cfg: fine}, 3, &stencils},
-		{"miniamr-refine", RunSpec{Cfg: refine}, 7, nil},
-		{"hydro-tiles", RunSpec{Job: tiles}, 3, nil},
+		{"miniamr-fine", RunSpec{Cfg: fine}, 2.5, &stencils},
+		{"miniamr-refine", RunSpec{Cfg: refine}, 2.5, nil},
+		{"hydro-tiles", RunSpec{Job: tiles}, 1.5, nil},
 	} {
 		spec := tc.spec
 		spec.Nodes, spec.RanksPerNode, spec.CoresPerRank = 1, 2, 2

@@ -1,80 +1,130 @@
 package hydro
 
 import (
+	"fmt"
 	"time"
 
 	"miniamr/internal/driver"
 	"miniamr/internal/task"
 )
 
-// Dependency keys of HYDRO's data-flow taskification. Dependencies are
-// declared per tile and per communication buffer section, the same
-// granularity the paper uses for miniAMR's blocks.
-type (
-	// tileKey is one tile's conserved state; it persists across
-	// timesteps, chaining unpack -> sweep -> pack across stages.
-	//
-	//amr:region state
-	tileKey struct {
-		t int
-	}
-	// sectKey is one segment's section of a message buffer. dirKey is
-	// the direction+1, or 0 when buffer sections share one key space
-	// across directions (reproducing the false dependencies that
-	// separate buffers remove). Sections are per-stage: produced,
-	// consumed once, recycled.
-	//
-	//amr:region stage match=dirKey,send,idx
-	sectKey struct {
-		dirKey int
-		peer   int
-		send   bool
-		idx    int
-	}
-	// waveKey is a tile's CFL wave-speed contribution slot, written once
-	// per timestep and drained by the reduction's taskwait.
-	//
-	//amr:region stage
-	waveKey struct {
-		t int
-	}
-	// sumKey is a tile's checksum accumulator slot, written once per
-	// checksum stage and drained by the validation's taskwait.
-	//
-	//amr:region stage
-	sumKey struct {
-		t int
-	}
-)
-
 // dfDriver is the paper's hybrid data-flow stage set: every phase is
 // taskified, tasks connect through data dependencies, and MPI operations
-// are issued from tasks through the task-aware MPI layer.
+// are issued from tasks through the task-aware MPI layer. Dependencies are
+// declared per tile and per communication buffer section, the same
+// granularity the paper uses for miniAMR's blocks.
 type dfDriver struct {
 	s *state
 	// g owns the task runtime, the task-aware MPI context, the per-worker
 	// scratch buffers and the sanitizer/trace plumbing.
 	g *driver.GraphEngine
-	// unpacks is Communicate's list of pending unpack tasks, kept for its
-	// storage.
+	// unpacks is Communicate's list of pending unpack tasks and regs the
+	// multidependency list being declared, both kept for their storage.
 	unpacks []unpackJob
+	regs    []task.Region
+
+	// The first handles of the per-tile region tables (see tile, wave, sum),
+	// reserved once, like the message sections: the tile set never changes.
+	tiles, waves, sums task.Region
+	// waveVals and sumSlots are the per-tile slots the CFL scan and the
+	// checksum fill, in the order of state.tiles, reused across stages.
+	waveVals []float64
+	sumSlots [][]float64
+}
+
+// reserve binds the driver to its engine and reserves the rank's dependency
+// regions on it.
+func (d *dfDriver) reserve(g *driver.GraphEngine) {
+	s, n := d.s, len(d.s.tiles)
+	d.g, d.waveVals, d.sumSlots = g, make([]float64, n), make([][]float64, n)
+	d.tiles = g.Reserve(3 * n)
+	d.waves, d.sums = d.tiles+task.Region(n), d.tiles+task.Region(2*n)
+	// A message's sections are one run of regions, long enough for any
+	// message. With shared buffers both directions' messages of one peer
+	// share a run (reproducing the false dependencies that separate buffers
+	// remove).
+	for _, send := range [2]bool{false, true} {
+		var plans [2][]driver.Plan[seg]
+		longest := 0
+		for dir := range plans {
+			plans[dir] = s.plans[dir].RecvPlans
+			if send {
+				plans[dir] = s.plans[dir].SendPlans
+			}
+			for _, pl := range plans[dir] {
+				longest = max(longest, len(pl.Segs))
+			}
+		}
+		var shared task.Region
+		if !s.cfg.SeparateBuffers {
+			shared = g.Reserve(s.comm.Size() * longest)
+		}
+		for dir := range plans {
+			for pi := range plans[dir] {
+				pl := &plans[dir][pi]
+				if s.cfg.SeparateBuffers {
+					pl.Sec = g.Reserve(len(pl.Segs))
+				} else {
+					pl.Sec = shared + task.Region(pl.Peer*longest)
+				}
+			}
+		}
+	}
 }
 
 // unpackJob is one received segment waiting for its unpack task: the
-// section of the receive buffer it reads and that section's boxed key.
+// section of the receive buffer it reads and that section's region.
 type unpackJob struct {
 	sg  seg
 	sec []float64
-	key any
+	key task.Region
 }
 
-// dirKey folds the direction into buffer keys, or collapses both
-// directions onto one key space when buffers are shared.
-func (d *dfDriver) dirKey(dir int) int {
-	if d.s.cfg.SeparateBuffers {
-		return dir + 1
+// tile is tile t's conserved state; it persists across timesteps, chaining
+// unpack -> sweep -> pack across stages. A rank's tiles are a contiguous
+// range of ids.
+//
+//amr:region state
+//amr:hot allocs=0
+func (d *dfDriver) tile(t int) task.Region { return d.tiles + task.Region(t-d.s.tiles[0]) }
+
+// wave is tile t's CFL wave-speed contribution slot, written once per
+// timestep and drained by the reduction's taskwait.
+//
+//amr:region stage
+//amr:hot allocs=0
+func (d *dfDriver) wave(t int) task.Region { return d.waves + task.Region(t-d.s.tiles[0]) }
+
+// sum is tile t's checksum accumulator slot, written once per checksum
+// stage and drained by the validation's taskwait.
+//
+//amr:region stage
+//amr:hot allocs=0
+func (d *dfDriver) sum(t int) task.Region { return d.sums + task.Region(t-d.s.tiles[0]) }
+
+// section is segment idx's section of the buffer of message pl. Sections
+// are per-stage: produced, consumed once, recycled.
+//
+//amr:region stage match=pl,idx
+//amr:hot allocs=0
+func section(pl *driver.Plan[seg], idx int) task.Region { return pl.Sec + task.Region(idx) }
+
+// describe names a region in words for the sanitizer's reports.
+func (d *dfDriver) describe(r task.Region) string {
+	s, n := d.s, len(d.s.tiles)
+	if i := int(r) - int(d.tiles); i >= 0 && i < 3*n {
+		return fmt.Sprintf("%s of tile %d", [3]string{"state", "wave slot", "sum slot"}[i/n], s.tiles[i%n])
 	}
-	return 0
+	for dir := range s.plans {
+		for way, plans := range [2][]driver.Plan[seg]{s.plans[dir].RecvPlans, s.plans[dir].SendPlans} {
+			for _, pl := range plans {
+				if i := int(r) - int(pl.Sec); i >= 0 && i < len(pl.Segs) {
+					return fmt.Sprintf("section dir=%d peer=%d idx=%d %s", dir, pl.Peer, i, [2]string{"recv", "send"}[way])
+				}
+			}
+		}
+	}
+	return fmt.Sprintf("region %d", r.Index())
 }
 
 // BeginStep taskifies the CFL scan — one task per tile feeding a
@@ -87,29 +137,27 @@ func (d *dfDriver) dirKey(dir int) int {
 //amr:par label=cfl-scan axis=tiles
 func (d *dfDriver) BeginStep(ts int) error {
 	s := d.s
-	waves := make([]float64, len(s.tiles))
-	keys := make([]any, len(s.tiles))
+	waves := d.regs[:0]
 	for i, t := range s.tiles {
 		u := s.data[t]
-		// Struct keys are boxed once and shared between the access list,
-		// the taskwait and the sanitizer notes.
-		tile, wave := any(tileKey{t: t}), any(waveKey{t: t})
-		keys[i] = wave
+		tile, wave := d.tile(t), d.wave(t)
+		waves = append(waves, wave)
 		d.g.Spawn("cfl-scan", func(tk *task.Task) {
 			d.g.NoteRead(tk, tile)
 			d.g.NoteWrite(tk, wave)
 			s.rec.Span(s.rank, tk.Worker(), "cfl-scan", func() {
-				waves[i] = s.maxWave(u)
+				d.waveVals[i] = s.maxWave(u)
 			})
 		}, d.g.Merge(d.g.In(tile), d.g.Out(wave))...)
 		s.flops += s.waveFlops()
 	}
-	d.g.WaitKeys(keys...)
+	d.regs = waves
+	d.g.WaitKeys(waves...)
 	if err := d.g.X.Err(); err != nil {
 		return err
 	}
 	wave := 0.0
-	for _, wv := range waves {
+	for _, wv := range d.waveVals {
 		if wv > wave {
 			wave = wv
 		}
@@ -132,8 +180,7 @@ func (d *dfDriver) Communicate(stage, g0, g1 int) error {
 	s := d.s
 	dir := stage - 1
 	gv := g1 - g0
-	dk := d.dirKey(dir)
-	// Section keys may alternate between the two directions' slabs when
+	// Section regions may alternate between the two directions' slabs when
 	// buffers are shared; aliasing is only meaningful within one stage
 	// (with the sanitizer off this is a nil check).
 	d.g.ResetBindings()
@@ -150,19 +197,17 @@ func (d *dfDriver) Communicate(stage, g0, g1 int) error {
 		pl := &s.plans[dir].RecvPlans[pi]
 		peer, tag, segs := pl.Peer, pl.Tag, pl.Segs
 		buf := s.plans[dir].RecvBuf(pi)[:pl.Cells*gv]
-		// A message's section keys are the same at every stage: box them
-		// once, on first use of the plan.
-		secs := pl.Keys
-		if secs == nil {
-			secs = make([]any, len(segs))
-			for i := range segs {
-				secs[i] = sectKey{dirKey: dk, peer: peer, idx: i}
-			}
-			pl.Keys = secs
+		secs := d.regs[:0]
+		for i, sg := range segs {
+			sec, key := s.segBuf(dir, buf, i), section(pl, i)
+			secs = append(secs, key)
+			d.g.BindSection(key, sec)
+			unpacks = append(unpacks, unpackJob{sg: sg, sec: sec, key: key})
 		}
+		d.regs = secs
 		d.g.Spawn("recv", func(t *task.Task) {
-			for _, k := range secs {
-				d.g.NoteWrite(t, k) // the arriving message fills every section
+			for i := range segs {
+				d.g.NoteWrite(t, section(pl, i)) // the arriving message fills every section
 			}
 			if s.cfg.BlockingTAMPI {
 				// TAMPI's blocking mode: the task pauses until the
@@ -181,12 +226,6 @@ func (d *dfDriver) Communicate(stage, g0, g1 int) error {
 			d.g.RecordInFlight(t, "recv-wait", req)
 			d.g.X.Iwait(t, req)
 		}, d.g.Out(secs...)...)
-
-		for i, sg := range segs {
-			sec := s.segBuf(dir, buf, i)
-			d.g.BindSection(secs[i], sec)
-			unpacks = append(unpacks, unpackJob{sg: sg, sec: sec, key: secs[i]})
-		}
 	}
 
 	// Sends: the message buffer is a fresh arena lease; pack tasks per
@@ -198,18 +237,11 @@ func (d *dfDriver) Communicate(stage, g0, g1 int) error {
 		peer, tag, segs := pl.Peer, pl.Tag, pl.Segs
 		lease := s.arena.LeaseFloat64(pl.Cells * gv)
 		buf := lease.Float64()
-		secs := pl.Keys
-		if secs == nil {
-			secs = make([]any, len(segs))
-			for i := range segs {
-				secs[i] = sectKey{dirKey: dk, peer: peer, send: true, idx: i}
-			}
-			pl.Keys = secs
-		}
+		secs := d.regs[:0]
 		for i, sg := range segs {
 			sec := s.segBuf(dir, buf, i)
-			secKey := secs[i]
-			tile := any(tileKey{t: sg.Tile})
+			secKey, tile := section(pl, i), d.tile(sg.Tile)
+			secs = append(secs, secKey)
 			d.g.Spawn("pack", func(t *task.Task) {
 				d.g.NoteRead(t, tile)
 				d.g.NoteWrite(t, secKey)
@@ -221,9 +253,10 @@ func (d *dfDriver) Communicate(stage, g0, g1 int) error {
 				d.g.Out(secKey),
 			)...)
 		}
+		d.regs = secs
 		d.g.Spawn("send", func(t *task.Task) {
-			for _, k := range secs {
-				d.g.NoteRead(t, k) // the send serialises every packed section
+			for i := range segs {
+				d.g.NoteRead(t, section(pl, i)) // the send serialises every packed section
 			}
 			if s.cfg.BlockingTAMPI {
 				start := time.Now()
@@ -244,7 +277,7 @@ func (d *dfDriver) Communicate(stage, g0, g1 int) error {
 
 	// Same-rank copies: edge exchange tasks between neighbouring tiles.
 	for _, lc := range s.locals[dir] {
-		src, dst := any(tileKey{t: lc.src}), any(tileKey{t: lc.dst})
+		src, dst := d.tile(lc.src), d.tile(lc.dst)
 		d.g.Spawn("local-copy", func(t *task.Task) {
 			d.g.NoteRead(t, src)
 			d.g.NoteWrite(t, dst)
@@ -260,7 +293,7 @@ func (d *dfDriver) Communicate(stage, g0, g1 int) error {
 	// Unpackers: consume the receive's buffer sections into tile ghosts
 	// once the bound requests complete.
 	for _, uj := range unpacks {
-		tile := any(tileKey{t: uj.sg.Tile})
+		tile := d.tile(uj.sg.Tile)
 		d.g.Spawn("unpack", func(t *task.Task) {
 			d.g.NoteRead(t, uj.key)
 			d.g.NoteWrite(t, tile)
@@ -286,7 +319,7 @@ func (d *dfDriver) Compute(stage, g0, g1 int) error {
 	dir := stage - 1
 	for _, t := range s.tiles {
 		u := s.data[t]
-		tile := any(tileKey{t: t})
+		tile := d.tile(t)
 		d.g.Spawn("sweep", func(tk *task.Task) {
 			d.g.NoteWrite(tk, tile)
 			s.rec.Span(s.rank, tk.Worker(), "sweep", func() {
@@ -306,14 +339,13 @@ func (d *dfDriver) Compute(stage, g0, g1 int) error {
 //amr:par label=cksum-local axis=tiles
 func (d *dfDriver) Checksum(int) error {
 	s := d.s
-	perTile := make(map[int][]float64, len(s.tiles))
-	keys := make([]any, len(s.tiles))
+	sums := d.regs[:0]
 	for i, t := range s.tiles {
 		slot := s.arena.GetFloat64(hydroVars) // tileSums overwrites it
-		perTile[t] = slot
+		d.sumSlots[i] = slot
 		u := s.data[t]
-		tile, sum := any(tileKey{t: t}), any(sumKey{t: t})
-		keys[i] = sum
+		tile, sum := d.tile(t), d.sum(t)
+		sums = append(sums, sum)
 		d.g.Spawn("cksum-local", func(tk *task.Task) {
 			d.g.NoteRead(tk, tile)
 			d.g.NoteWrite(tk, sum)
@@ -322,13 +354,14 @@ func (d *dfDriver) Checksum(int) error {
 			})
 		}, d.g.Merge(d.g.In(tile), d.g.Out(sum))...)
 	}
-	d.g.WaitKeys(keys...)
+	d.regs = sums
+	d.g.WaitKeys(sums...)
 	if err := d.g.X.Err(); err != nil {
 		return err
 	}
-	local := driver.CombineSums(s.arena, hydroVars, s.tiles, perTile)
-	for _, t := range s.tiles {
-		s.arena.PutFloat64(perTile[t])
+	local := driver.CombineSums(s.arena, hydroVars, d.sumSlots)
+	for _, slot := range d.sumSlots {
+		s.arena.PutFloat64(slot)
 	}
 	return s.reduceAndValidate(local)
 }

@@ -194,11 +194,7 @@ func (d *loopDriver) sweepTile(i, w int) {
 func (d *loopDriver) Checksum(int) error {
 	s := d.s
 	d.eng.ParFor(len(s.tiles), d.sumTiles)
-	perTile := make(map[int][]float64, len(s.tiles))
-	for i, t := range s.tiles {
-		perTile[t] = d.sums[i]
-	}
-	local := driver.CombineSums(s.arena, hydroVars, s.tiles, perTile)
+	local := driver.CombineSums(s.arena, hydroVars, d.sums)
 	for _, out := range d.sums {
 		s.arena.PutFloat64(out)
 	}

@@ -81,6 +81,7 @@ func RunDataFlow(cfg Config, c *mpi.Comm, rec *trace.Recorder) (Result, error) {
 	if cfg.TaskObserver != nil {
 		obs = cfg.TaskObserver(c.Rank())
 	}
+	d := &dfDriver{s: s}
 	g, err := driver.NewGraphEngine(driver.GraphOptions{
 		Comm:       c,
 		Recorder:   rec,
@@ -88,11 +89,12 @@ func RunDataFlow(cfg Config, c *mpi.Comm, rec *trace.Recorder) (Result, error) {
 		Sanitizer:  cfg.Sanitizer,
 		Observer:   obs,
 		ScratchLen: scratchLen(&cfg),
+		Describe:   d.describe,
 	})
 	if err != nil {
 		return Result{}, err
 	}
-	d := &dfDriver{s: s, g: g}
+	d.reserve(g)
 	res, err := runMain(s, d)
 	if err != nil {
 		return Result{}, err

@@ -2,6 +2,7 @@ package sanitize
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"miniamr/internal/task"
@@ -11,7 +12,8 @@ import (
 // task.Observer to mirror the dependency graph (declared access sets,
 // edges, completions), and exposes NoteRead/NoteWrite for task bodies to
 // report the regions they actually touch and BindRegion for drivers to
-// register which storage a dependency key stands for.
+// register which storage a region stands for. Its shadow state is indexed
+// by region handle, like the runtime's own.
 //
 // The happens-before oracle is exact for the runtime's semantics: task A
 // is ordered before task B iff there is a chain from A to B of dependence
@@ -24,19 +26,40 @@ type DepSanitizer struct {
 	s    *Sanitizer
 	rank int
 
-	mu     sync.Mutex
-	seq    uint64 // logical clock over spawn/finish events
-	tasks  map[uint64]*taskRec
-	shadow map[any]*regionRec
-	binds  map[any]regionBind
+	// Describe, when set before the runtime starts, names a reserved region
+	// in words; it is called only while a report is being built. Regions
+	// interned from front-door keys print as the key.
+	Describe func(task.Region) string
+
+	mu      sync.Mutex
+	seq     uint64 // logical clock over spawn/finish events
+	gen     uint8  // the runtime's reset generation: counts RegionsReset
+	tasks   map[uint64]*taskRec
+	regions []regionRec // by handle index, grown on demand
+	binds   map[*float64]regionBind
 }
 
 type taskRec struct {
 	label    string
-	declared map[any]task.Mode
+	declared []task.Access
 	preds    []uint64
 	birthSeq uint64
 	finSeq   uint64 // 0 while running
+}
+
+// onlyIn reports whether rec declared region r, and as in every time:
+// repeated declarations fold into their union, so in+out behaves as inout.
+func (rec *taskRec) onlyIn(r task.Region) bool {
+	declared := false
+	for _, a := range rec.declared {
+		if a.Region == r {
+			if a.Mode != task.ModeIn {
+				return false
+			}
+			declared = true
+		}
+	}
+	return declared
 }
 
 type regionAccess struct {
@@ -44,45 +67,80 @@ type regionAccess struct {
 	write bool
 }
 
+// regionRec is the shadow of one region: the front-door key it was interned
+// for, if any, and the accesses noted since the last write ordered after
+// everything before it.
 type regionRec struct {
+	key  any
 	accs []regionAccess
 }
 
 type regionBind struct {
-	key  any
+	key  any // a task.Region, or whatever a direct caller binds under
 	site string
 }
 
 func newDepSanitizer(s *Sanitizer, rank int) *DepSanitizer {
 	return &DepSanitizer{
-		s:      s,
-		rank:   rank,
-		tasks:  make(map[uint64]*taskRec),
-		shadow: make(map[any]*regionRec),
-		binds:  make(map[any]regionBind),
+		s:     s,
+		rank:  rank,
+		tasks: make(map[uint64]*taskRec),
+		binds: make(map[*float64]regionBind),
 	}
+}
+
+// region returns the shadow of r, growing the table to hold it. Caller
+// holds ds.mu.
+func (ds *DepSanitizer) region(r task.Region) *regionRec {
+	if i := r.Index(); i >= len(ds.regions) {
+		ds.regions = append(ds.regions, make([]regionRec, i+1-len(ds.regions))...)
+	}
+	return &ds.regions[r.Index()]
+}
+
+// name renders a region key for a report. Caller holds ds.mu.
+func (ds *DepSanitizer) name(key any) string {
+	r, ok := key.(task.Region)
+	switch {
+	case !ok:
+		return fmt.Sprintf("%v", key)
+	case ds.region(r).key != nil:
+		return fmt.Sprintf("%v", ds.region(r).key)
+	case ds.Describe != nil:
+		return ds.Describe(r)
+	}
+	return fmt.Sprintf("region %d", r.Index())
 }
 
 // TaskSpawned implements task.Observer.
 func (ds *DepSanitizer) TaskSpawned(id uint64, label string, accs []task.Access) {
 	ds.mu.Lock()
-	defer ds.mu.Unlock()
 	ds.seq++
-	rec := &taskRec{
-		label:    label,
-		declared: make(map[any]task.Mode, len(accs)),
-		birthSeq: ds.seq,
-	}
+	ds.tasks[id] = &taskRec{label: label, declared: slices.Clone(accs), birthSeq: ds.seq}
+	var stale []task.Region
 	for _, a := range accs {
-		// Repeated declarations of one key fold into their union: in+out
-		// (in either order) behaves as inout.
-		if old, had := rec.declared[a.Key]; had && old != a.Mode {
-			rec.declared[a.Key] = task.ModeInOut
-		} else {
-			rec.declared[a.Key] = a.Mode
+		if a.Key != nil {
+			ds.region(a.Region).key = a.Key
+		} else if a.Region.Generation() != ds.gen {
+			stale = append(stale, a.Region)
 		}
 	}
-	ds.tasks[id] = rec
+	gen := ds.gen
+	ds.mu.Unlock()
+	for _, r := range stale {
+		ds.s.report(
+			fmt.Sprintf("stale-region|%d|%d|%s", ds.rank, r, label),
+			Report{
+				Check: KindStaleRegion,
+				Rank:  ds.rank,
+				Task:  label,
+				Key:   fmt.Sprintf("region %d", r.Index()),
+				Msg: fmt.Sprintf(
+					"handle of reset generation %d declared after the runtime's regions were reset (now generation %d): it names whatever was reserved at its index since",
+					r.Generation(), gen),
+				Stack: captureStack(2),
+			})
+	}
 }
 
 // TaskDependence implements task.Observer.
@@ -111,18 +169,36 @@ func (ds *DepSanitizer) Quiesced() {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	ds.tasks = make(map[uint64]*taskRec)
-	ds.shadow = make(map[any]*regionRec)
-	ds.binds = make(map[any]regionBind)
+	for i := range ds.regions {
+		ds.regions[i].accs = ds.regions[i].accs[:0]
+	}
+	clear(ds.binds)
 }
 
-// NoteRead reports that the task is reading the region behind key.
+// RegionsReset implements task.Observer: the interned names go with the
+// handles, and current handles carry the next generation.
+func (ds *DepSanitizer) RegionsReset() {
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	ds.gen++
+	for i := range ds.regions {
+		ds.regions[i].key = nil
+	}
+}
+
+// NoteRead reports that the task is reading a region: key is its
+// task.Region handle, or the front-door key the task's runtime interns.
 func (ds *DepSanitizer) NoteRead(t *task.Task, key any) { ds.note(t, key, false) }
 
-// NoteWrite reports that the task is writing the region behind key.
+// NoteWrite reports that the task is writing a region, named like NoteRead's.
 func (ds *DepSanitizer) NoteWrite(t *task.Task, key any) { ds.note(t, key, true) }
 
 func (ds *DepSanitizer) note(t *task.Task, key any, write bool) {
 	id := t.ID()
+	r, byHandle := key.(task.Region)
+	if !byHandle {
+		r = t.Intern(key) // takes the runtime's lock: before ds.mu, as in TaskSpawned
+	}
 	ds.mu.Lock()
 	rec, ok := ds.tasks[id]
 	if !ok {
@@ -131,26 +207,27 @@ func (ds *DepSanitizer) note(t *task.Task, key any, write bool) {
 		ds.mu.Unlock()
 		return
 	}
+	rr := ds.region(r)
+	if !byHandle {
+		rr.key = key
+	}
 	if write {
-		if m, declared := rec.declared[key]; declared && m == task.ModeIn {
+		if rec.onlyIn(r) {
+			name := ds.name(r)
 			ds.mu.Unlock()
 			ds.s.report(
-				fmt.Sprintf("write-via-in|%d|%v|%s", ds.rank, key, rec.label),
+				fmt.Sprintf("write-via-in|%d|%s|%s", ds.rank, name, rec.label),
 				Report{
 					Check: KindWriteViaIn,
 					Rank:  ds.rank,
 					Task:  rec.label,
-					Key:   fmt.Sprintf("%v", key),
+					Key:   name,
 					Msg:   "task writes a region it declared only as in; successors may read it unordered",
 					Stack: captureStack(2),
 				})
 			ds.mu.Lock()
+			rr = ds.region(r) // the table may have grown meanwhile
 		}
-	}
-	rr := ds.shadow[key]
-	if rr == nil {
-		rr = &regionRec{}
-		ds.shadow[key] = rr
 	}
 	for _, pa := range rr.accs {
 		if pa.id == id && pa.write == write {
@@ -194,15 +271,19 @@ func (ds *DepSanitizer) note(t *task.Task, key any, write bool) {
 		}
 		pairs = append(pairs, racePair{a: other.label, b: rec.label})
 	}
+	var name string
+	if len(pairs) > 0 {
+		name = ds.name(r)
+	}
 	ds.mu.Unlock()
 	for _, p := range pairs {
 		ds.s.report(
-			fmt.Sprintf("dep-race|%d|%v|%s|%s", ds.rank, key, p.a, p.b),
+			fmt.Sprintf("dep-race|%d|%s|%s|%s", ds.rank, name, p.a, p.b),
 			Report{
 				Check: KindDepRace,
 				Rank:  ds.rank,
 				Task:  rec.label,
-				Key:   fmt.Sprintf("%v", key),
+				Key:   name,
 				Msg: fmt.Sprintf(
 					"conflicting access with concurrently-schedulable task %q is not covered by declared dependencies", p.a),
 				Stack: captureStack(2),
@@ -252,12 +333,12 @@ func (ds *DepSanitizer) orderedLocked(a, b uint64) bool {
 	return false
 }
 
-// BindRegion registers that dependency key stands for the storage
-// identified by base (typically a pointer to the region's first element).
-// Binding one base under two distinct keys within a binding scope is a
-// key-aliasing violation: tasks addressing the same data through
-// different keys are never ordered by the graph.
-func (ds *DepSanitizer) BindRegion(key any, base any) {
+// BindRegion registers that a region — key is its task.Region handle, or
+// any comparable name a direct caller uses — stands for the storage that
+// starts at base. Binding one base under two distinct keys within a binding
+// scope is a key-aliasing violation: tasks addressing the same data through
+// different regions are never ordered by the graph.
+func (ds *DepSanitizer) BindRegion(key any, base *float64) {
 	ds.mu.Lock()
 	prev, ok := ds.binds[base]
 	if !ok {
@@ -265,28 +346,30 @@ func (ds *DepSanitizer) BindRegion(key any, base any) {
 		ds.mu.Unlock()
 		return
 	}
-	ds.mu.Unlock()
 	if prev.key == key {
+		ds.mu.Unlock()
 		return
 	}
+	was, now := ds.name(prev.key), ds.name(key)
+	ds.mu.Unlock()
 	ds.s.report(
-		fmt.Sprintf("key-alias|%d|%v|%v", ds.rank, prev.key, key),
+		fmt.Sprintf("key-alias|%d|%s|%s", ds.rank, was, now),
 		Report{
 			Check: KindKeyAlias,
 			Rank:  ds.rank,
-			Key:   fmt.Sprintf("%v", key),
+			Key:   now,
 			Msg: fmt.Sprintf(
-				"region already bound under distinct key %v; tasks using the two keys are never ordered", prev.key),
+				"region already bound under distinct key %s; tasks using the two keys are never ordered", was),
 			Stack: captureStack(1),
 		})
 }
 
 // ResetBindings opens a new binding scope. Drivers call it when the
-// storage behind their keys may legitimately be recycled (a new exchange
+// storage behind their regions may legitimately be recycled (a new exchange
 // round drawing fresh arena buffers); aliasing is only meaningful among
 // simultaneously-live regions.
 func (ds *DepSanitizer) ResetBindings() {
 	ds.mu.Lock()
-	ds.binds = make(map[any]regionBind)
+	clear(ds.binds)
 	ds.mu.Unlock()
 }

@@ -11,8 +11,8 @@
 //     NoteRead/NoteWrite. Two concurrently-schedulable tasks with
 //     overlapping accesses (at least one a write) that the dependency
 //     graph does not order, a write through a region declared only `in`,
-//     and one buffer bound under two distinct dependency keys are all
-//     violations.
+//     one buffer bound under two distinct regions, and a region handle
+//     used after the runtime's regions were reset are all violations.
 //   - MPI deadlock and matching (mpimon.go): a wait-for graph over ranks
 //     blocked in Recv/Wait/collectives, watched by a grace-period
 //     watchdog (cycle and all-blocked detection, with abort so stuck
@@ -52,6 +52,9 @@ const (
 	KindWriteViaIn Kind = "write-via-in"
 	// KindKeyAlias: one buffer bound under two distinct dependency keys.
 	KindKeyAlias Kind = "key-alias"
+	// KindStaleRegion: a task declared a region handle from before the
+	// runtime's last region reset.
+	KindStaleRegion Kind = "stale-region"
 	// KindDeadlock: ranks provably stuck in receive-side waits.
 	KindDeadlock Kind = "deadlock"
 	// KindUnreceived: a message was sent but never matched by a receive.

@@ -80,6 +80,26 @@ func TestKeyAlias(t *testing.T) {
 	}
 }
 
+func TestStaleRegion(t *testing.T) {
+	reports := scenarios.StaleRegion()
+	r := find(t, reports, sanitize.KindStaleRegion)
+	if r.Task != "kept-handle" {
+		t.Errorf("task = %q, want kept-handle", r.Task)
+	}
+	if r.Key != "region 0" || !strings.Contains(r.Msg, "generation 0") || !strings.Contains(r.Msg, "now generation 1") {
+		t.Errorf("report does not name the handle and both generations: %v", r)
+	}
+	if len(reports) != 1 {
+		t.Errorf("want the stale handle only, got %v", reports)
+	}
+}
+
+func TestUnreservedRegion(t *testing.T) {
+	if got, want := scenarios.UnreservedRegion(), "task: region 2 not reserved (have 2)"; got != want {
+		t.Errorf("Spawn panicked with %q, want %q", got, want)
+	}
+}
+
 func TestTagMismatchDeadlock(t *testing.T) {
 	reports := scenarios.TagMismatchDeadlock()
 	r := find(t, reports, sanitize.KindDeadlock)

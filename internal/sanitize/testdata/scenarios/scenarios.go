@@ -69,6 +69,40 @@ func KeyAlias() []sanitize.Report {
 	return san.Finish()
 }
 
+// StaleRegion keeps a region handle across the runtime's region reset and
+// declares it afterwards: the handle now names whatever was reserved at its
+// index since, here another task's region, so the two tasks are ordered by a
+// dependency neither declared.
+func StaleRegion() []sanitize.Report {
+	san := sanitize.New(sanitize.Options{})
+	rt := task.MustNewRuntime(task.Options{Workers: 1, Observer: san.Observer(0)})
+	defer rt.Shutdown()
+
+	old := rt.Reserve(1)
+	rt.Spawn("first-epoch", func(*task.Task) {}, task.Access{Region: old, Mode: task.ModeOut})
+	rt.Wait()
+	rt.ResetRegions()
+	fresh := rt.Reserve(1) // the same slab entry under the next generation
+	rt.Spawn("current", func(*task.Task) {}, task.Access{Region: fresh, Mode: task.ModeOut})
+	rt.Spawn("kept-handle", func(*task.Task) {}, task.Access{Region: old, Mode: task.ModeOut})
+	rt.Wait()
+	return san.Finish()
+}
+
+// UnreservedRegion declares a handle the runtime never handed out. Spawn
+// must refuse it with a legible panic before it touches any state: the
+// scenario returns the panic message, and the runtime still drains.
+func UnreservedRegion() (msg string) {
+	rt := task.MustNewRuntime(task.Options{Workers: 1})
+	defer rt.Shutdown()
+	defer func() { msg, _ = recover().(string) }()
+
+	first := rt.Reserve(2)
+	rt.Spawn("in-range", func(*task.Task) {}, task.Access{Region: first + 1, Mode: task.ModeOut})
+	rt.Spawn("out-of-range", func(*task.Task) {}, task.Access{Region: first + 2, Mode: task.ModeOut})
+	return ""
+}
+
 // TagMismatchDeadlock runs two ranks whose tags never match: rank 0
 // sends tag 5 then receives tag 9, rank 1 receives tag 7. Nothing can
 // progress; the watchdog must report the deadlock and abort both blocked

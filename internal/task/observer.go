@@ -7,11 +7,12 @@ package task
 // an observer pays one pointer check per event and nothing else.
 //
 // Task ids are positive and unique within one Runtime, in spawn order.
-// WaitAccess/WaitKeys pseudo-tasks carry no id and are never reported.
+// WaitAccess pseudo-tasks carry no id and are never reported.
 type Observer interface {
 	// TaskSpawned fires when Spawn registers a task, before any of its
-	// dependence edges. The accs slice is the caller's; implementations
-	// must copy what they keep.
+	// dependence edges. Every access carries its region's handle; one that
+	// came through the front door also still carries its key. The accs
+	// slice is the runtime's; implementations must copy what they keep.
 	TaskSpawned(id uint64, label string, accs []Access)
 	// TaskDependence fires when the graph adds an edge: succ will not
 	// start until pred has released its dependencies.
@@ -23,4 +24,7 @@ type Observer interface {
 	// spawned so far has finished, so accesses before the quiescent point
 	// are ordered against everything spawned after it.
 	Quiesced()
+	// RegionsReset fires when ResetRegions drops every handle: the ones the
+	// runtime hands out from now on carry the next generation.
+	RegionsReset()
 }

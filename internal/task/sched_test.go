@@ -285,7 +285,7 @@ func TestSpawnRecyclesTaskRecords(t *testing.T) {
 			}
 			rt.Spawn("i", body)
 		}
-		rt.WaitKeys("chain", "fan")
+		rt.WaitAccess(In("chain", "fan")...)
 	}
 	for i := 0; i < 20; i++ { // warm up: size the pool and the reader lists
 		batch()
@@ -308,10 +308,10 @@ func mallocsPer(n int, f func()) float64 {
 	return float64(after.Mallocs-before.Mallocs) / float64(n)
 }
 
-// Wait recycles the records the dependency map still names when it drops
-// the map: a driver that waits every stage (refinement every timestep) spawns
-// the next stage into the same records. What a spawn/wait cycle still
-// allocates is the map's own state, one entry per key used.
+// Wait recycles the records the regions still name when it resets their
+// state: a driver that waits every stage (refinement every timestep) spawns
+// the next stage into the same records. The regions themselves, front-door
+// keys included, outlive the Wait, so a spawn/wait cycle allocates nothing.
 func TestWaitRecyclesNamedTaskRecords(t *testing.T) {
 	rt := MustNewRuntime(Options{Workers: 2})
 	defer rt.Shutdown()
@@ -330,8 +330,8 @@ func TestWaitRecyclesNamedTaskRecords(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		cycle()
 	}
-	if per := mallocsPer(50, cycle); per > keys+5 {
-		t.Errorf("%.1f allocations per cycle of %d spawns on %d keys, want the %d map entries only", per, keys, keys, keys)
+	if per := mallocsPer(50, cycle); per > 1 {
+		t.Errorf("%.1f allocations per cycle of %d spawns on %d keys, want none", per, keys, keys)
 	}
 
 	// Nothing is left to allocate when the tasks name no key.
@@ -365,7 +365,7 @@ func TestRecycledRecordsKeepGrownSuccessorLists(t *testing.T) {
 			}
 		}
 		close(release)
-		rt.WaitKeys("fan")
+		rt.WaitAccess(In("fan")...)
 	}
 	for i := 0; i < 60; i++ { // until every record of the pool has served as a writer
 		batch()

@@ -49,7 +49,7 @@ func TestWaitAfterShutdown(t *testing.T) {
 	go func() {
 		rt.Wait()
 		rt.WaitAccess(task.InOut("k")...)
-		rt.WaitKeys("k", "never-seen")
+		rt.WaitAccess(task.In("k", "never-seen")...)
 		close(done)
 	}()
 	select {

@@ -30,9 +30,9 @@ func TestConcurrentSpawnAndWaitKeys(t *testing.T) {
 	for i := range keys {
 		keys[i] = i
 	}
-	rt.WaitKeys(keys...)
+	rt.WaitAccess(In(keys...)...)
 	if got := atomic.LoadInt32(&phase1); got != 50 {
-		t.Errorf("WaitKeys returned with %d/50 phase-1 tasks done", got)
+		t.Errorf("WaitAccess returned with %d/50 phase-1 tasks done", got)
 	}
 	wg.Wait()
 	rt.Wait()
@@ -83,7 +83,7 @@ func TestManyWaiters(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rt.WaitKeys(i)
+			rt.WaitAccess(In(i)...)
 			if atomic.LoadInt32(&done) < 1 {
 				t.Errorf("waiter %d returned before its writer", i)
 			}

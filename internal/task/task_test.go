@@ -241,12 +241,12 @@ func TestWaitAccessInMode(t *testing.T) {
 		atomic.StoreInt32(&unrelated, 1)
 	}, Out("other")...)
 
-	rt.WaitKeys("sum")
+	rt.WaitAccess(In("sum")...)
 	if atomic.LoadInt32(&wrote) != 1 {
-		t.Error("WaitKeys returned before the writer finished")
+		t.Error("WaitAccess returned before the writer finished")
 	}
 	if atomic.LoadInt32(&unrelated) != 0 {
-		t.Error("unrelated task should still be blocked — WaitKeys must not be a full barrier")
+		t.Error("unrelated task should still be blocked — WaitAccess must not be a full barrier")
 	}
 	close(release)
 	rt.Wait()
@@ -275,13 +275,13 @@ func TestWaitAccessUnknownKeyReturnsImmediately(t *testing.T) {
 	defer rt.Shutdown()
 	done := make(chan struct{})
 	go func() {
-		rt.WaitKeys("never-seen")
+		rt.WaitAccess(In("never-seen")...)
 		close(done)
 	}()
 	select {
 	case <-done:
 	case <-time.After(time.Second):
-		t.Fatal("WaitKeys on unknown key blocked")
+		t.Fatal("WaitAccess on unknown key blocked")
 	}
 }
 

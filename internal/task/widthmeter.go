@@ -72,6 +72,9 @@ func (m *WidthMeter) TaskFinished(id uint64) {
 // Quiesced implements Observer.
 func (m *WidthMeter) Quiesced() {}
 
+// RegionsReset implements Observer.
+func (m *WidthMeter) RegionsReset() {}
+
 // HighWater returns the ready-set high-water mark observed so far.
 func (m *WidthMeter) HighWater() int { return m.hwm }
 
@@ -115,5 +118,11 @@ func (t tee) TaskFinished(id uint64) {
 func (t tee) Quiesced() {
 	for _, o := range t {
 		o.Quiesced()
+	}
+}
+
+func (t tee) RegionsReset() {
+	for _, o := range t {
+		o.RegionsReset()
 	}
 }
