@@ -13,9 +13,12 @@ GRAPH_PKGS := ./internal/amr/app ./internal/hydro
 
 .PHONY: test vet fmt-check lint graph golden perf sanitize chaos race transport bench-test loc check
 
+# The timeouts sit well above the slowest package's time, so that a
+# deadlock (say, a Spawn parked for good) fails with a goroutine dump
+# instead of hanging until Go's 10-minute default.
 test:
 	$(GO) build ./...
-	$(GO) test ./...
+	$(GO) test -timeout 5m ./...
 
 # Alongside the default vet suite, explicitly enable the three analyzers
 # that matter most to the concurrency substrate: copylocks (a copied
@@ -73,7 +76,7 @@ chaos:
 		./internal/sanitize ./internal/tampi ./internal/harness ./internal/hydro
 
 race:
-	$(GO) test -race $(RACE_PKGS)
+	$(GO) test -race -timeout 5m $(RACE_PKGS)
 
 # transport: the wire-transport proof chain under the race detector —
 # the conformance suite over both fabrics (channel and real loopback

@@ -174,6 +174,11 @@ func TestDataFlowOptionVariantsAgree(t *testing.T) {
 		"single-group":         func(c *Config) { c.CommVars = 0 },
 		"tight-exchange-limit": func(c *Config) { c.MaxBlocksPerRank = 64 },
 		"blocking-tampi":       func(c *Config) { c.BlockingTAMPI = true },
+		// A parked spawner with the fewest cores: one worker that
+		// suspended receives lend out, and checksum stages in flight
+		// while the next is spawned.
+		"blocking-tampi+single-worker":   func(c *Config) { c.BlockingTAMPI = true; c.Workers = 1 },
+		"delayed-checksum+single-worker": func(c *Config) { c.DelayedChecksum = true; c.Workers = 1 },
 	}
 	for name, mutate := range mutants {
 		cfg := testConfig()

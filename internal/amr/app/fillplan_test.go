@@ -321,8 +321,11 @@ func (l *graphLog) shared(e [2]uint64, filter func(task.Region) bool) (task.Regi
 // messages of one peer and message index share their sections' regions, so
 // one stage's communication tasks of different directions are ordered
 // through them (the false dependencies --separate_buffers removes); with
-// it no section orders two directions. The stage is spawned with every core
-// held, so no task finishes and each dependency shows as an edge.
+// it no section orders two directions. The stage is spawned behind a gate
+// task that writes every section and holds its core until the count is
+// taken, so no task that uses a section starts and each dependency between
+// two of them shows as an edge. (A stage spawned with every core held would
+// park the spawner on the full ready queue for good.)
 func TestSharedBuffersOrderDirections(t *testing.T) {
 	cross := map[bool]int{}
 	for _, separate := range []bool{true, false} {
@@ -342,11 +345,20 @@ func TestSharedBuffersOrderDirections(t *testing.T) {
 				t.Error(err)
 				panic(err)
 			}
-			d.plan() // the stage below must not rebuild the tables under the held cores
-			hold := make(chan struct{})
-			for i := 0; i < cfg.Workers; i++ {
-				d.g.Spawn("hold", func(*task.Task) { <-hold })
+			d.plan() // the stage below must not rebuild the tables under the gate
+			var secs []task.Region
+			for _, plans := range [2]*[3][]commPlan{&d.s.recvPlans, &d.s.sendPlans} {
+				for dir := range plans {
+					for pi := range plans[dir] {
+						for i := range plans[dir][pi].msg {
+							secs = append(secs, section(&plans[dir][pi], i))
+						}
+					}
+				}
 			}
+			slices.Sort(secs) // shared buffers name a section once per direction
+			hold := make(chan struct{})
+			d.g.Spawn("gate", func(*task.Task) { <-hold }, d.g.Out(slices.Compact(secs)...)...)
 			if err := d.communicate(0, cfg.CommVars); err != nil {
 				t.Error(err)
 				panic(err)
@@ -373,8 +385,13 @@ func TestSharedBuffersOrderDirections(t *testing.T) {
 				}
 			}
 			dirOf := map[uint64]int{}
+			var gate uint64
 			for i, tk := range log.tasks {
-				if tk.label != "hold" && tk.label != "local-copy" {
+				switch tk.label {
+				case "gate":
+					gate = log.first + uint64(i)
+				case "local-copy":
+				default:
 					dirOf[log.first+uint64(i)] = dirs[len(dirOf)]
 				}
 			}
@@ -383,7 +400,7 @@ func TestSharedBuffersOrderDirections(t *testing.T) {
 			}
 			section := func(r task.Region) bool { return r >= d.slotRegs+task.Region(2*len(d.blocks)) }
 			for _, e := range log.edges {
-				if _, through := log.shared(e, section); through && dirOf[e[0]] != dirOf[e[1]] {
+				if _, through := log.shared(e, section); through && e[0] != gate && dirOf[e[0]] != dirOf[e[1]] {
 					total.Add(1)
 				}
 			}

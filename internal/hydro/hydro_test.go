@@ -217,6 +217,9 @@ func TestDataFlowOptionVariantsAgree(t *testing.T) {
 		"separate-buffers": func(c *Config) { c.SeparateBuffers = true },
 		"single-worker":    func(c *Config) { c.Workers = 1 },
 		"many-workers":     func(c *Config) { c.Workers = 4 },
+		// A parked spawner with the fewest cores, which suspended
+		// receives lend out.
+		"blocking-tampi+single-worker": func(c *Config) { c.BlockingTAMPI = true; c.Workers = 1 },
 	}
 	for name, mutate := range mutants {
 		cfg := testConfig()

@@ -172,3 +172,32 @@ func benchAllToAll(b *testing.B, handles bool) {
 
 func BenchmarkAllToAll(b *testing.B)       { benchAllToAll(b, false) }
 func BenchmarkAllToAllHandle(b *testing.B) { benchAllToAll(b, true) }
+
+// spinSink keeps spinTask's result alive.
+var spinSink atomic.Uint64
+
+// spinTask is a body of about a microsecond: a dependent floating-point
+// chain the compiler cannot shorten.
+func spinTask(*Task) {
+	x := 1.0
+	for range 400 {
+		x = x*1.0000001 + 1e-9
+	}
+	spinSink.Store(uint64(x))
+}
+
+// BenchmarkSpawnBackpressure streams independent tasks of about a
+// microsecond from one spawner onto two workers, with no drain until the
+// end: the regime of the backlog throttle, where the spawner outruns the
+// cores and must give them the CPU. An operation is one task; run it with
+// -benchtime 100000x.
+func BenchmarkSpawnBackpressure(b *testing.B) {
+	rt := MustNewRuntime(Options{Workers: 2})
+	defer rt.Shutdown()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		rt.Spawn("t", spinTask)
+	}
+	rt.Wait()
+}

@@ -72,7 +72,9 @@ func (rt *Runtime) worker() {
 			rt.workCond.Wait()
 		}
 		n, k := rt.head, len(rt.cores)-1
-		rt.queued--
+		if rt.queued--; rt.queued == rt.lowWater() {
+			rt.spawnCond.Broadcast()
+		}
 		if rt.head = n.next; rt.head == nil {
 			rt.tail = &rt.head
 		}

@@ -24,17 +24,49 @@ func gated(rt *Runtime, release <-chan struct{}, accs ...Access) {
 	<-started
 }
 
+// eventually fails the test unless cond holds within 10 s.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			t.Fatal(what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// parksAt fails the test unless SpawnCount stops at want: a spawner parked
+// inside its Spawn with want tasks spawned. It returns once the count has
+// stayed there for a while.
+func parksAt(t *testing.T, rt *Runtime, want int) {
+	t.Helper()
+	eventually(t, "the spawner never reached the spawn that parks", func() bool { return rt.SpawnCount() >= want })
+	time.Sleep(20 * time.Millisecond)
+	if got := rt.SpawnCount(); got != want {
+		t.Fatalf("spawner went on to %d spawns, want it parked at %d", got, want)
+	}
+}
+
+// The ready tasks queued behind a gate run in spawn order. The spawner parks
+// on the spawn that leaves backlog+1 of them queued behind the gate's core,
+// and the gate opens only then: the order also holds across the park and the
+// resume.
 func TestReadyTasksStartInFIFOOrder(t *testing.T) {
-	rt := MustNewRuntime(Options{Workers: 1})
-	defer rt.Shutdown()
+	rt := MustNewRuntime(Options{Workers: 1}) // Shutdown is not deferred: it would hang on failure
 	release := make(chan struct{})
 	gated(rt, release)
 	var order []int // one worker: bodies never overlap
 	const n = 50
-	for i := 0; i < n; i++ {
-		rt.Spawn("t", func(*Task) { order = append(order, i) })
-	}
+	spawned := make(chan struct{})
+	go func() {
+		for i := 0; i < n; i++ {
+			rt.Spawn("t", func(*Task) { order = append(order, i) })
+		}
+		close(spawned)
+	}()
+	parksAt(t, rt, 1+backlog+1)
 	close(release)
+	<-spawned
 	rt.Wait()
 	for i, v := range order {
 		if v != i {
@@ -44,6 +76,134 @@ func TestReadyTasksStartInFIFOOrder(t *testing.T) {
 	if len(order) != n {
 		t.Fatalf("ran %d tasks, want %d", len(order), n)
 	}
+	rt.Shutdown()
+}
+
+// queueLog is an Observer that records the ready-queue length each Spawn
+// found on entry, and counts finished tasks.
+type queueLog struct {
+	rt       *Runtime
+	before   []int // indexed by task id - 1
+	finished atomic.Int32
+}
+
+func (l *queueLog) TaskSpawned(uint64, string, []Access) { l.before = append(l.before, l.rt.queued) }
+func (l *queueLog) TaskDependence(uint64, uint64)        {}
+func (l *queueLog) TaskFinished(uint64)                  { l.finished.Add(1) }
+func (l *queueLog) Quiesced()                            {}
+func (l *queueLog) RegionsReset()                        {}
+
+// The throttle in numbers. With every core held, the spawner parks on the
+// spawn that leaves backlog*W+1 tasks queued. The cores are then let through
+// one task at a time: a finish and the dequeue it is followed by share one
+// hold of the lock, so the queue length is known after each. The spawner
+// must sleep until the dequeue that leaves backlog*W/2 queued, and no Spawn
+// may ever start on a queue longer than backlog*W.
+func TestSpawnParksAtBacklogAndResumesAtHalf(t *testing.T) {
+	const workers, n = 2, 40
+	log := &queueLog{}
+	rt := MustNewRuntime(Options{Workers: workers, Observer: log}) // Shutdown is not deferred: it would hang on failure
+	log.rt = rt
+	release := make(chan struct{})
+	var held sync.WaitGroup
+	held.Add(workers)
+	for range workers {
+		rt.Spawn("gate", func(*Task) { held.Done(); <-release })
+	}
+	held.Wait()
+	step := make(chan struct{}) // each send lets one running task finish
+	spawned := make(chan struct{})
+	go func() {
+		for range n {
+			rt.Spawn("t", func(*Task) { <-step })
+		}
+		close(spawned)
+	}()
+	high, low := backlog*workers, backlog*workers/2
+	parked := workers + high + 1
+	parksAt(t, rt, parked)
+	close(release) // the gates finish; each core dequeues a task that waits for a step
+	finishes := workers
+	for queued := high + 1 - workers; queued > low; queued-- {
+		eventually(t, "a task let through did not finish", func() bool { return int(log.finished.Load()) >= finishes })
+		if got := rt.SpawnCount(); got != parked {
+			t.Fatalf("spawner resumed with more than %d tasks queued (%d spawns)", queued, got)
+		}
+		step <- struct{}{}
+		finishes++
+	}
+	// That step's finish brings the queue to the low-water mark.
+	eventually(t, "the spawner stayed parked at the low-water mark", func() bool { return rt.SpawnCount() > parked })
+	close(step)
+	<-spawned
+	rt.Wait()
+	if got := log.before[parked-1]; got != high {
+		t.Errorf("the spawn that parked found %d tasks queued, want %d", got, high)
+	}
+	if got := log.before[parked]; got != low {
+		t.Errorf("the spawner resumed with %d tasks queued, want %d", got, low)
+	}
+	for id, q := range log.before {
+		if q > high {
+			t.Errorf("spawn %d started on %d queued tasks, more than %d", id+1, q, high)
+		}
+	}
+	rt.Shutdown()
+}
+
+// A variant of TestAllWorkersSuspendedStillDrains in which the resumes fill
+// the queue: more suspended tasks than backlog per core resume while every
+// core is held, so their resume records alone exceed the spawner's cap, and
+// a spawner then spawns more than that many tasks. Its first spawn parks;
+// the dequeues that must wake it are all of resume records, which wait ahead
+// of its task.
+func TestParkedSpawnerWokenByResumes(t *testing.T) {
+	const workers, suspenders, extra = 2, backlog*2 + 4, backlog*2 + 12
+	rt := MustNewRuntime(Options{Workers: workers}) // Shutdown is not deferred: it would hang on failure
+	inLock := func(f func() bool) func() bool {
+		return func() bool {
+			rt.mu.Lock()
+			defer rt.mu.Unlock()
+			return f()
+		}
+	}
+	wake := make(chan struct{})
+	var resumed atomic.Int32
+	for range suspenders {
+		rt.Spawn("suspender", func(tk *Task) {
+			tk.Suspend(wake)
+			resumed.Add(1)
+		})
+	}
+	eventually(t, "the suspenders did not all give their cores back", inLock(func() bool {
+		return rt.live == suspenders && rt.queued == 0 && len(rt.cores) == workers
+	}))
+	release := make(chan struct{})
+	for range workers {
+		gated(rt, release)
+	}
+	close(wake)
+	eventually(t, "the resumed suspenders did not all queue for a core", inLock(func() bool { return rt.queued == suspenders }))
+	var ran atomic.Int32
+	done := make(chan struct{})
+	go func() {
+		for range extra {
+			rt.Spawn("work", func(*Task) { ran.Add(1) })
+		}
+		rt.Wait()
+		close(done)
+	}()
+	parksAt(t, rt, suspenders+workers+1)
+	close(release)
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("spawner parked behind resume records was never woken")
+	}
+	if resumed.Load() != suspenders || ran.Load() != extra {
+		t.Fatalf("%d of %d suspenders resumed, %d of %d tasks ran", resumed.Load(), suspenders, ran.Load(), extra)
+	}
+	rt.Shutdown()
 }
 
 // With the policy on, a finishing task's successor runs next on the same

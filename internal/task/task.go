@@ -43,14 +43,17 @@
 // after 10 ms: with no idle CPU the rest of the process would wait that long
 // (the timers and socket readers that deliver messages and so complete bound
 // events, other ranks' runtimes). So a worker yields to the Go scheduler
-// between two tasks every yieldEvery, and Spawn yields while more than
-// backlog ready tasks per core are queued: spawning further ahead feeds no
-// core sooner and only grows the set of buffers in flight.
+// between two tasks every yieldEvery. Spawn instead parks its caller, as
+// OmpSs-2's main task gives up its core, once a spawn leaves more than backlog
+// ready tasks (or queued resumes) per core, until the workers have dequeued
+// down to half of that: spawning further ahead feeds no core sooner and a
+// runnable spawner takes CPU from them. So the caller must not occupy every
+// core with bodies waiting on something it does only after more spawns; note
+// that a task body calling Spawn parks holding its core.
 package task
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 )
@@ -135,6 +138,7 @@ type Runtime struct {
 	mu         sync.Mutex
 	cond       sync.Cond      // broadcast to Wait/WaitAccess callers and resuming tasks
 	workCond   sync.Cond      // idle workers park here
+	spawnCond  sync.Cond      // Spawn callers parked on a full ready queue
 	wg         sync.WaitGroup // the worker goroutines
 	regions    []depState     // the region slab, indexed by Region.Index; clean beyond its length
 	keys       map[any]Region // the front door's intern table
@@ -175,7 +179,7 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		imsucc: !opts.DisableImmediateSuccessor,
 		obs:    opts.Observer,
 	}
-	rt.cond.L, rt.workCond.L, rt.tail = &rt.mu, &rt.mu, &rt.head
+	rt.cond.L, rt.workCond.L, rt.spawnCond.L, rt.tail = &rt.mu, &rt.mu, &rt.mu, &rt.head
 	for i := range rt.cores {
 		rt.cores[i] = i
 	}
@@ -286,9 +290,10 @@ func (rt *Runtime) unreserved(accs []Access) string {
 // Spawn submits a task with a label (for tracing), a body and dependency
 // accesses (not retained). The task becomes ready once all conflicting
 // predecessors have released their dependencies, and releases its own when
-// the body has returned and all bound events have completed. The pin counts
-// the two panics and the task record (recycled in the steady state): naming a
-// region by handle must not add a site.
+// the body has returned and all bound events have completed. Spawn may park
+// the caller while the ready queue is full (see Execution above). The pin
+// counts the two panics and the task record (recycled in the steady state):
+// naming a region by handle must not add a site.
 //
 //amr:hot allocs=3
 func (rt *Runtime) Spawn(label string, body func(t *Task), accs ...Access) {
@@ -346,12 +351,16 @@ func (rt *Runtime) Spawn(label string, body func(t *Task), accs ...Access) {
 	if n.pending == 0 {
 		rt.push(n)
 	}
-	throttle := rt.queued > backlog*cap(rt.cores)
-	rt.mu.Unlock()
-	if throttle {
-		runtime.Gosched()
+	if rt.queued > backlog*cap(rt.cores) {
+		for rt.queued > rt.lowWater() { // the dequeue reaching it broadcasts
+			rt.spawnCond.Wait()
+		}
 	}
+	rt.mu.Unlock()
 }
+
+// lowWater is the queue length down to which a parked Spawn waits.
+func (rt *Runtime) lowWater() int { return backlog * cap(rt.cores) / 2 }
 
 // addEdge makes succ depend on pred unless pred is absent, finished, or
 // identical to succ (a task reading and writing the same key must not
