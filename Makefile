@@ -5,11 +5,10 @@
 GO ?= go
 RACE_PKGS := ./internal/mpi ./internal/task ./internal/tampi ./internal/membuf \
 	./internal/simnet ./internal/amr/grid ./internal/amr/app ./internal/driver \
-	./internal/hydro ./internal/harness ./internal/wire
+	./internal/hydro ./internal/harness ./internal/wire ./internal/analysis
 
 GOLDEN_DIR := internal/analysis/testdata/golden
 PERF_GOLDEN_DIR := $(GOLDEN_DIR)/perf
-GRAPH_PKGS := ./internal/amr/app ./internal/hydro
 
 .PHONY: test vet fmt-check lint graph golden perf sanitize chaos race transport bench-test loc check
 
@@ -31,36 +30,37 @@ vet:
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# amrlint enforces the repo's ownership, collective, task-graph,
-# concurrency and determinism invariants (leaselint, reqlint, deplint,
-# collectivelint, graphlint, perflint, conclint, determlint);
-# amrgraph -check diffs the extracted
-# driver DAGs and amrperf -check the static performance profiles against
-# the committed goldens. All exit non-zero on findings or drift.
+# amrlint enforces the repo's ownership, collective, concurrency and
+# determinism invariants (leaselint, reqlint, deplint, collectivelint,
+# conclint, determlint) on the source; amrgraph records the driver task
+# graphs by running the drivers, checks them (graphlint) and diffs them
+# against the committed goldens, and amrperf does the same for their
+# performance profiles (perflint). All exit non-zero on findings or drift.
 lint:
 	$(GO) run ./cmd/amrlint ./...
-	$(GO) run ./cmd/amrgraph -check $(GOLDEN_DIR) $(GRAPH_PKGS)
-	$(GO) run ./cmd/amrperf -check $(PERF_GOLDEN_DIR) $(GRAPH_PKGS)
+	$(GO) run ./cmd/amrgraph -check $(GOLDEN_DIR)
+	$(GO) run ./cmd/amrperf -check $(PERF_GOLDEN_DIR)
 
-# Render the driver task graphs as DOT under build/graphs (pipe through
-# `dot -Tsvg` to visualise).
+# Render the recorded driver task graphs as DOT under build/graphs (pipe
+# through `dot -Tsvg` to visualise).
 graph:
-	$(GO) run ./cmd/amrgraph -format dot -o build/graphs $(GRAPH_PKGS)
+	$(GO) run ./cmd/amrgraph -format dot -o build/graphs
 
 # Refresh the committed golden text graphs and performance profiles
-# after an intentional change to a driver pipeline or the cost presets.
+# after an intentional change to a driver pipeline or a recorded
+# configuration.
 golden:
-	$(GO) run ./cmd/amrgraph -update $(GOLDEN_DIR) $(GRAPH_PKGS)
-	$(GO) run ./cmd/amrperf -update $(PERF_GOLDEN_DIR) $(GRAPH_PKGS)
+	$(GO) run ./cmd/amrgraph -update $(GOLDEN_DIR)
+	$(GO) run ./cmd/amrperf -update $(PERF_GOLDEN_DIR)
 
-# Static performance model: diff the per-driver profiles (critical path,
-# concurrency width, comm volume) against the committed goldens, audit
-# the //amr:hot allocation pins against the compiler's escape analysis,
-# and emit the machine-readable JSON profiles under build/perf (the CI
-# artifact).
+# Performance model: diff the per-driver profiles (critical path,
+# concurrency width, communication) of the recorded graphs against the
+# committed goldens, audit the //amr:hot allocation pins against the
+# compiler's escape analysis, and emit the machine-readable JSON profiles
+# under build/perf (the CI artifact).
 perf:
 	$(GO) run ./cmd/amrperf -escape -check $(PERF_GOLDEN_DIR) ./...
-	$(GO) run ./cmd/amrperf -format json -o build/perf $(GRAPH_PKGS)
+	$(GO) run ./cmd/amrperf -format json -o build/perf
 
 # amrsan: the seeded-violation corpus plus full driver runs with the
 # runtime sanitizer forced on (AMRSAN=1), which must stay clean.

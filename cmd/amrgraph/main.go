@@ -1,26 +1,29 @@
-// Command amrgraph extracts the per-driver task DAGs and communication
-// topologies declared by //amr:graph anchors (see internal/analysis) and
-// emits them as text, DOT or JSON. It is the graph half of amrlint: the
-// same extraction that powers the graphlint analyzer, exposed so the
-// graphs can be rendered, diffed and committed as goldens.
+// Command amrgraph records the per-driver task graphs (see
+// internal/analysis: Record, Goldens) by running each driver on a small
+// fixed in-process configuration, checks them with graphlint and emits
+// them as text, DOT or JSON, so the graphs can be rendered, diffed and
+// committed as goldens.
 //
 // Modes:
 //
-//	amrgraph [packages]                  print graphs to stdout (-format)
-//	amrgraph -o dir [packages]           write one file per driver to dir
-//	amrgraph -update dir [packages]      refresh golden text graphs in dir
-//	amrgraph -check dir [packages]       diff against goldens; exit 1 on drift
+//	amrgraph [apps]                  print graphs to stdout (-format)
+//	amrgraph -o dir [apps]           write one file per driver to dir
+//	amrgraph -update dir [apps]      refresh golden text graphs in dir
+//	amrgraph -check dir [apps]       diff against goldens; exit 1 on drift
+//
+// apps are registered application names (miniamr, hydro); the default is
+// every recorded graph. graphlint findings print to stderr.
 //
 // Exit status: 0 clean, 1 golden mismatch or graph findings, 2 usage or
-// load error.
+// recording error.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"miniamr/internal/analysis"
 )
@@ -30,46 +33,42 @@ func main() {
 	outDir := flag.String("o", "", "write one file per driver into this directory")
 	checkDir := flag.String("check", "", "compare text graphs against goldens in this directory")
 	updateDir := flag.String("update", "", "write text graphs as goldens into this directory")
-	tests := flag.Bool("tests", false, "also analyze _test.go files")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: amrgraph [-format text|dot|json] [-o dir | -check dir | -update dir] [packages]\n\npackages are directories or dir/... trees (default ./...)\n\n")
+			"usage: amrgraph [-format text|dot|json] [-o dir | -check dir | -update dir] [apps]\n\napps are application names (default: every recorded graph)\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 
-	switch *format {
-	case "text", "dot", "json":
-	default:
+	ext := map[string]string{"text": ".txt", "dot": ".dot", "json": ".json"}[*format]
+	if ext == "" {
 		fmt.Fprintf(os.Stderr, "amrgraph: unknown format %q\n", *format)
 		os.Exit(2)
 	}
 
-	patterns := flag.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-
-	fset := token.NewFileSet()
-	pkgs, err := analysis.Load(fset, patterns, *tests)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	graphs, findings := analysis.ExtractGraphs(pkgs)
-	for _, f := range findings {
-		fmt.Fprintln(os.Stderr, f)
+	status := 0
+	var graphs []*analysis.Graph
+	for _, r := range analysis.Goldens() {
+		if flag.NArg() > 0 && !slices.Contains(flag.Args(), r.App) {
+			continue
+		}
+		g, findings, err := analysis.Record(r)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "amrgraph:", err)
+			os.Exit(2)
+		}
+		for _, f := range findings {
+			fmt.Fprintln(os.Stderr, f)
+			status = 1
+		}
+		graphs = append(graphs, g)
 	}
 	if len(graphs) == 0 {
-		fmt.Fprintln(os.Stderr, "amrgraph: no //amr:graph anchors found")
+		fmt.Fprintf(os.Stderr, "amrgraph: no recorded graph belongs to %v\n", flag.Args())
 		os.Exit(2)
 	}
 
-	status := 0
-	if len(findings) > 0 {
-		status = 1
-	}
-
+	dir := *outDir
 	switch {
 	case *checkDir != "":
 		for _, g := range graphs {
@@ -80,43 +79,32 @@ func main() {
 				status = 1
 				continue
 			}
-			if got := g.Text(); got != string(want) {
+			if g.Text() != string(want) {
 				fmt.Fprintf(os.Stderr, "amrgraph: driver %s diverges from golden %s (run amrgraph -update %s to refresh)\n",
 					g.Driver, path, *checkDir)
 				status = 1
 			}
 		}
+		os.Exit(status)
 	case *updateDir != "":
-		if err := os.MkdirAll(*updateDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "amrgraph:", err)
-			os.Exit(2)
-		}
-		for _, g := range graphs {
-			path := filepath.Join(*updateDir, g.Driver+".txt")
-			if err := os.WriteFile(path, []byte(g.Text()), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "amrgraph:", err)
-				os.Exit(2)
-			}
-			fmt.Println("wrote", path)
-		}
-	case *outDir != "":
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "amrgraph:", err)
-			os.Exit(2)
-		}
-		ext := map[string]string{"text": ".txt", "dot": ".dot", "json": ".json"}[*format]
-		for _, g := range graphs {
-			path := filepath.Join(*outDir, g.Driver+ext)
-			if err := os.WriteFile(path, []byte(render(g, *format)), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "amrgraph:", err)
-				os.Exit(2)
-			}
-			fmt.Println("wrote", path)
-		}
-	default:
+		dir, ext, *format = *updateDir, ".txt", "text"
+	case dir == "":
 		for _, g := range graphs {
 			fmt.Print(render(g, *format))
 		}
+		os.Exit(status)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		fmt.Fprintln(os.Stderr, "amrgraph:", err)
+		os.Exit(2)
+	}
+	for _, g := range graphs {
+		path := filepath.Join(dir, g.Driver+ext)
+		if err := os.WriteFile(path, []byte(render(g, *format)), 0o644); err != nil {
+			fmt.Fprintln(os.Stderr, "amrgraph:", err)
+			os.Exit(2)
+		}
+		fmt.Println("wrote", path)
 	}
 	os.Exit(status)
 }

@@ -1,13 +1,12 @@
 // Command amrlint runs the repo-specific static-analysis suite: leaselint,
-// reqlint, deplint, collectivelint, graphlint, perflint, conclint and
-// determlint (see internal/analysis). Patterns are directories or dir/...
-// trees; the default ./... covers the module.
+// reqlint, deplint, collectivelint, conclint and determlint (see
+// internal/analysis). Patterns are directories or dir/... trees; the
+// default ./... covers the module. The driver task graphs are recorded
+// and checked by cmd/amrgraph (graphlint) and cmd/amrperf (perflint).
 //
 // -json switches the findings to one JSON record per line (file, line,
 // id, analyzer, severity, message); the id is the stable analyzer/rule
-// slug shared with perflint, so suppressions and dashboards survive
-// message rewording. -graph emits the extracted driver graphs instead of
-// findings, as DOT by default or as JSON objects with -json.
+// slug, so suppressions and dashboards survive message rewording.
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load error.
 package main
@@ -36,10 +35,9 @@ func main() {
 	tests := flag.Bool("tests", false, "also analyze _test.go files")
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as JSON records, one per line")
-	graph := flag.Bool("graph", false, "emit the extracted driver graphs (DOT, or JSON with -json)")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: amrlint [-tests] [-json] [-graph] [packages]\n\npackages are directories or dir/... trees (default ./...)\n\n")
+			"usage: amrlint [-tests] [-json] [packages]\n\npackages are directories or dir/... trees (default ./...)\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -61,24 +59,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-
-	if *graph {
-		graphs, findings := analysis.ExtractGraphs(pkgs)
-		for _, f := range findings {
-			fmt.Fprintln(os.Stderr, f)
-		}
-		for _, g := range graphs {
-			if *jsonOut {
-				fmt.Print(g.JSON())
-			} else {
-				fmt.Print(g.DOT())
-			}
-		}
-		if len(findings) > 0 {
-			os.Exit(1)
-		}
-		return
 	}
 
 	findings := analysis.Run(pkgs, analysis.All())

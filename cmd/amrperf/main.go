@@ -1,29 +1,24 @@
-// Command amrperf evaluates the statically extracted driver graphs (see
-// internal/analysis and cmd/amrgraph) under concrete instance counts
-// into performance profiles: critical-path length and concurrency width
-// in the work-span model, the resulting speedup bound, and the per-rank
-// communication volume with surface-to-volume message scaling. It is the
+// Command amrperf evaluates the recorded driver graphs (see
+// internal/analysis: Record, Goldens, and cmd/amrgraph) into performance
+// profiles: critical-path length and concurrency width in the work-span
+// model, the resulting speedup bound, and the point-to-point and
+// collective operations per pass, at each graph's committed worker counts
+// (a loop graph is the MPI-only rank at one worker and the fork-join rank
+// at sixteen). perflint's findings on the graphs print to stderr. It is the
 // cost-model half of perflint, exposed so the profiles can be rendered,
 // diffed and committed as goldens.
 //
 // Modes:
 //
-//	amrperf [packages]                 print profiles to stdout (-format)
-//	amrperf -o dir [packages]          write one file per profile to dir
-//	amrperf -update dir [packages]     refresh golden text profiles in dir
-//	amrperf -check dir [packages]      diff against goldens; exit 1 on drift
+//	amrperf                            print profiles to stdout (-format)
+//	amrperf -o dir                     write one file per profile to dir
+//	amrperf -update dir                refresh golden text profiles in dir
+//	amrperf -check dir                 diff against goldens; exit 1 on drift
 //	amrperf -escape [packages]         also audit //amr:hot allocation pins
 //	                                   (compiles the packages with -gcflags=-m)
 //
-// Each driver is evaluated at its committed default points (see
-// analysis.DefaultCostConfig: one per driver, two for a loop driver, which
-// is the MPI-only rank at one worker and the fork-join rank at sixteen);
-// -workers, -axes and -bytes override them:
-//
-//	amrperf -axes blocks=64,msgs=6 -workers 48 ./internal/amr/app
-//
-// Exit status: 0 clean, 1 golden mismatch or findings, 2 usage or load
-// error.
+// Exit status: 0 clean, 1 golden mismatch or findings, 2 usage or
+// recording error.
 package main
 
 import (
@@ -33,7 +28,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"miniamr/internal/analysis"
@@ -44,84 +38,56 @@ func main() {
 	outDir := flag.String("o", "", "write one file per profile into this directory")
 	checkDir := flag.String("check", "", "compare text profiles against goldens in this directory")
 	updateDir := flag.String("update", "", "write text profiles as goldens into this directory")
-	workers := flag.Int("workers", 0, "override the per-rank worker count for every driver")
-	axesFlag := flag.String("axes", "", "comma-separated axis=count overrides (e.g. blocks=64,msgs=6)")
-	bytesFlag := flag.String("bytes", "", "comma-separated axis=bytes message payload overrides")
-	escape := flag.Bool("escape", false, "audit //amr:hot allocation budgets against the compiler's escape analysis")
-	tests := flag.Bool("tests", false, "also analyze _test.go files")
+	escape := flag.Bool("escape", false, "audit //amr:hot allocation budgets of the packages against the compiler's escape analysis")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: amrperf [-format text|json] [-workers n] [-axes a=n,...] [-bytes a=n,...] [-escape] [-o dir | -check dir | -update dir] [packages]\n\npackages are directories or dir/... trees (default ./...)\n\n")
+			"usage: amrperf [-format text|json] [-escape] [-o dir | -check dir | -update dir] [packages]\n\npackages, for -escape, are directories or dir/... trees (default ./...)\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 
-	switch *format {
-	case "text", "json":
-	default:
+	ext := map[string]string{"text": ".txt", "json": ".json"}[*format]
+	if ext == "" {
 		fmt.Fprintf(os.Stderr, "amrperf: unknown format %q\n", *format)
 		os.Exit(2)
 	}
-	axes, err := parseCounts(*axesFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "amrperf: -axes:", err)
-		os.Exit(2)
-	}
-	bytesOv, err := parseCounts(*bytesFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "amrperf: -bytes:", err)
-		os.Exit(2)
-	}
 
-	patterns := flag.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-
-	fset := token.NewFileSet()
-	pkgs, err := analysis.Load(fset, patterns, *tests)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	graphs, findings := analysis.ExtractGraphs(pkgs)
-	for _, f := range findings {
-		fmt.Fprintln(os.Stderr, f)
-	}
-	if len(graphs) == 0 {
-		fmt.Fprintln(os.Stderr, "amrperf: no //amr:graph anchors found")
-		os.Exit(2)
-	}
 	status := 0
-	if len(findings) > 0 {
-		status = 1
-	}
-
 	var profiles []*analysis.Profile
-	for _, g := range graphs {
-		points, _ := analysis.DefaultCostConfig(g.Driver)
-		if *workers > 0 {
-			// One worker count asked for: one profile per driver.
-			points = points[:1]
-			points[0].Workers = *workers
+	for _, r := range analysis.Goldens() {
+		g, _, err := analysis.Record(r) // graph findings are amrgraph's
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "amrperf:", err)
+			os.Exit(2)
 		}
-		for _, cfg := range points {
-			cfg.Axes = overlay(cfg.Axes, axes)
-			cfg.Bytes = overlay(cfg.Bytes, bytesOv)
-			p := analysis.ProfileGraph(g, cfg)
-			for _, w := range p.Warnings {
-				fmt.Fprintf(os.Stderr, "amrperf: profile %s: %s\n", p.Name, w)
-			}
+		for _, f := range analysis.PerfLint(g) {
+			fmt.Fprintln(os.Stderr, f)
+			status = 1
+		}
+		for _, w := range r.Profiles {
+			p := analysis.ProfileGraph(g, w)
+			p.Name = analysis.ProfileName(g.Driver, w, len(r.Profiles) > 1)
 			profiles = append(profiles, p)
 		}
 	}
 
 	if *escape {
+		patterns := flag.Args()
+		if len(patterns) == 0 {
+			patterns = []string{"./..."}
+		}
+		fset := token.NewFileSet()
+		pkgs, err := analysis.Load(fset, patterns, false)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
 		if !runEscapeAudit(pkgs, patterns) {
 			status = 1
 		}
 	}
 
+	dir := *outDir
 	switch {
 	case *checkDir != "":
 		for _, p := range profiles {
@@ -132,40 +98,16 @@ func main() {
 				status = 1
 				continue
 			}
-			if got := p.Text(); got != string(want) {
+			if p.Text() != string(want) {
 				fmt.Fprintf(os.Stderr, "amrperf: profile %s diverges from golden %s (run amrperf -update %s to refresh)\n",
 					p.Name, path, *checkDir)
 				status = 1
 			}
 		}
+		os.Exit(status)
 	case *updateDir != "":
-		if err := os.MkdirAll(*updateDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "amrperf:", err)
-			os.Exit(2)
-		}
-		for _, p := range profiles {
-			path := filepath.Join(*updateDir, p.Name+".txt")
-			if err := os.WriteFile(path, []byte(p.Text()), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "amrperf:", err)
-				os.Exit(2)
-			}
-			fmt.Println("wrote", path)
-		}
-	case *outDir != "":
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "amrperf:", err)
-			os.Exit(2)
-		}
-		ext := map[string]string{"text": ".txt", "json": ".json"}[*format]
-		for _, p := range profiles {
-			path := filepath.Join(*outDir, p.Name+ext)
-			if err := os.WriteFile(path, []byte(render(p, *format)), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "amrperf:", err)
-				os.Exit(2)
-			}
-			fmt.Println("wrote", path)
-		}
-	default:
+		dir, ext, *format = *updateDir, ".txt", "text"
+	case dir == "":
 		if *format == "json" {
 			fmt.Print(renderAll(profiles))
 		} else {
@@ -176,6 +118,19 @@ func main() {
 				fmt.Print(p.Text())
 			}
 		}
+		os.Exit(status)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		fmt.Fprintln(os.Stderr, "amrperf:", err)
+		os.Exit(2)
+	}
+	for _, p := range profiles {
+		path := filepath.Join(dir, p.Name+ext)
+		if err := os.WriteFile(path, []byte(render(p, *format)), 0o644); err != nil {
+			fmt.Fprintln(os.Stderr, "amrperf:", err)
+			os.Exit(2)
+		}
+		fmt.Println("wrote", path)
 	}
 	os.Exit(status)
 }
@@ -206,41 +161,6 @@ func runEscapeAudit(pkgs []*analysis.Package, patterns []string) bool {
 		}
 	}
 	return ok
-}
-
-// parseCounts parses "a=1,b=2" override lists.
-func parseCounts(s string) (map[string]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	m := make(map[string]int)
-	for _, kv := range strings.Split(s, ",") {
-		name, val, found := strings.Cut(kv, "=")
-		if !found || name == "" {
-			return nil, fmt.Errorf("malformed entry %q (want axis=count)", kv)
-		}
-		n, err := strconv.Atoi(val)
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("malformed count in %q", kv)
-		}
-		m[name] = n
-	}
-	return m, nil
-}
-
-// overlay applies overrides on top of a preset without mutating it.
-func overlay(base, over map[string]int) map[string]int {
-	if len(over) == 0 {
-		return base
-	}
-	out := make(map[string]int, len(base)+len(over))
-	for k, v := range base {
-		out[k] = v
-	}
-	for k, v := range over {
-		out[k] = v
-	}
-	return out
 }
 
 func render(p *analysis.Profile, format string) string {

@@ -32,7 +32,7 @@ func benchGhostExchange(b *testing.B, cfg Config, ranks, workers int) {
 			}
 			d := newLoopDriver(s, workers)
 			for i := 0; i < b.N; i++ {
-				if err := d.communicate(0, cfg.CommVars); err != nil {
+				if err := d.Communicate(1, 0, cfg.CommVars); err != nil {
 					panic(err)
 				}
 			}

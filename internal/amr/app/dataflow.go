@@ -23,7 +23,7 @@ func RunDataFlow(cfg Config, c *mpi.Comm, rec *trace.Recorder) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := runMain(d.s, d)
+	res, err := runMain(d.s, driver.Observe(d, d.obs))
 	if err != nil {
 		return Result{}, err
 	}
@@ -47,7 +47,7 @@ func newDataFlowDriver(cfg *Config, c *mpi.Comm, rec *trace.Recorder) (*dataFlow
 	if cfg.TaskObserver != nil {
 		obs = cfg.TaskObserver(c.Rank())
 	}
-	d := &dataFlowDriver{s: s, groups: len(cfg.Groups())}
+	d := &dataFlowDriver{s: s, obs: obs, groups: len(cfg.Groups())}
 	d.g, err = driver.NewGraphEngine(driver.GraphOptions{
 		Comm:                      c,
 		Recorder:                  rec,
@@ -69,6 +69,8 @@ type dataFlowDriver struct {
 	// g owns the task runtime, the task-aware MPI context, the per-worker
 	// scratch buffers and the sanitizer/trace plumbing.
 	g *driver.GraphEngine
+	// obs is the rank's task observer from the configuration, or nil.
+	obs task.Observer
 
 	// unpacks is communicate's list of pending unpack tasks; regs is the
 	// multidependency list of the task being spawned, which In copies. Both
@@ -116,11 +118,8 @@ type unpackJob struct {
 // stencil, read by pack, by the fills of the neighbouring blocks and by the
 // checksum. A block is two regions, because its two parts have different
 // writers: the stencil writes the interior, the ghost exchange the halo.
-// Block state persists across timesteps, and graphlint matches it as one
-// class so the pack -> stencil -> checksum chain is visible at the phase
-// level.
+// Block state persists across timesteps.
 //
-//amr:region state
 //amr:hot allocs=0
 func (d *dataFlowDriver) interior(i, gi int) task.Region {
 	return d.interiors + task.Region(i*d.groups+gi)
@@ -130,7 +129,6 @@ func (d *dataFlowDriver) interior(i, gi int) task.Region {
 // fill task and its unpack tasks, consumed (and for the 27-point kernel
 // completed with edges and corners) by stencil.
 //
-//amr:region state
 //amr:hot allocs=0
 func (d *dataFlowDriver) halo(i, gi int) task.Region {
 	return d.halos + task.Region(i*d.groups+gi)
@@ -142,7 +140,6 @@ func (d *dataFlowDriver) halo(i, gi int) task.Region {
 // sections' regions (reproducing the false dependencies that
 // --separate_buffers removes).
 //
-//amr:region stage match=pl,idx
 //amr:hot allocs=0
 func section(pl *commPlan, idx int) task.Region { return pl.sec + task.Region(idx) }
 
@@ -150,7 +147,6 @@ func section(pl *commPlan, idx int) task.Region { return pl.sec + task.Region(id
 // between consecutive checksum stages for the delayed validation (class
 // matching: the delayed flush reads the other parity).
 //
-//amr:region stage
 //amr:hot allocs=0
 func (d *dataFlowDriver) slot(parity, i int) task.Region {
 	return d.slotRegs + task.Region(parity*len(d.blocks)+i)
@@ -159,7 +155,6 @@ func (d *dataFlowDriver) slot(parity, i int) task.Region {
 // xfer orders the pack->send and recv->unpack pairs of the refinement block
 // exchange, by the move's data tag.
 //
-//amr:region stage match=recv
 //amr:hot allocs=0
 func (d *dataFlowDriver) xfer(tag int, recv bool) task.Region {
 	r := d.xfers + task.Region(2*(tag-exchangeData))
@@ -246,19 +241,12 @@ func (d *dataFlowDriver) describe(r task.Region) string {
 	return fmt.Sprintf("region %d", r.Index())
 }
 
-// communicate taskifies the ghost exchange (the paper's Algorithm 3): per
+// Communicate taskifies the ghost exchange (the paper's Algorithm 3): per
 // direction a receive task per message binding the request, pack tasks per
 // face and send tasks per message with multidependencies on the packed
 // sections; then one fill task per block for everything that stays within
 // the rank; then the unpack tasks fed by the receives' buffer sections.
-//
-//amr:graph driver=dataflow phase=communicate seq=1
-//amr:par label=recv axis=msgs
-//amr:par label=pack axis=segs
-//amr:par label=send axis=msgs
-//amr:par label=local-copy axis=blocks
-//amr:par label=unpack axis=msgs
-func (d *dataFlowDriver) communicate(g0, g1 int) error {
+func (d *dataFlowDriver) Communicate(_, g0, g1 int) error {
 	s := d.s
 	gv := g1 - g0
 	gi := d.groupIndex(g0)
@@ -432,15 +420,12 @@ func (d *dataFlowDriver) fillGhosts(g0, g1 int) {
 	}
 }
 
-// stencil spawns one task per block, in-out on the block's interior and
+// Compute spawns one stencil task per block, in-out on the block's interior and
 // halo, so it naturally follows the ghost fills and the next stage's
 // fills, packs and unpacks follow it. The halo is in-out although the
 // 7-point kernel only reads it: the 27-point one first completes it with
 // edges and corners.
-//
-//amr:graph driver=dataflow phase=stencil seq=2
-//amr:par label=stencil axis=blocks
-func (d *dataFlowDriver) stencil(g0, g1 int) error {
+func (d *dataFlowDriver) Compute(_, g0, g1 int) error {
 	s := d.s
 	gi := d.groupIndex(g0)
 	d.plan()
@@ -459,13 +444,10 @@ func (d *dataFlowDriver) stencil(g0, g1 int) error {
 	return nil
 }
 
-// checksum spawns local-reduction tasks into the current parity's slots
+// Checksum spawns local-reduction tasks into the current parity's slots
 // and validates either this stage (default) or the previous one
 // (DelayedChecksum), so the barrier does not drain in-flight stages.
-//
-//amr:graph driver=dataflow phase=checksum seq=3
-//amr:par label=cksum-local axis=blocks
-func (d *dataFlowDriver) checksum() error {
+func (d *dataFlowDriver) Checksum(int) error {
 	s := d.s
 	par := d.parity
 	d.parity ^= 1
@@ -505,7 +487,7 @@ func (d *dataFlowDriver) checksum() error {
 
 // flushChecksum waits (with dependencies only) for one parity's local
 // reductions and runs the global reduction and validation. A pending
-// parity is always of the current epoch: quiesce settles both before a
+// parity is always of the current epoch: Quiesce settles both before a
 // refinement.
 func (d *dataFlowDriver) flushChecksum(par int) error {
 	if !d.pending[par] {
@@ -529,9 +511,13 @@ func (d *dataFlowDriver) flushChecksum(par int) error {
 	return s.reduceAndValidate(local)
 }
 
-// quiesce closes the parallelism (the explicit taskwait the paper keeps
+// BeginStep has no per-step work: miniAMR's stages do not vary within a
+// timestep.
+func (d *dataFlowDriver) BeginStep(int) error { return nil }
+
+// Quiesce closes the parallelism (the explicit taskwait the paper keeps
 // before refinement) and settles any pending delayed checksum.
-func (d *dataFlowDriver) quiesce() error {
+func (d *dataFlowDriver) Quiesce() error {
 	d.g.Wait()
 	if err := d.g.X.Err(); err != nil {
 		return err
@@ -544,12 +530,13 @@ func (d *dataFlowDriver) quiesce() error {
 	return nil
 }
 
-// refine runs the taskified refinement phase after draining in-flight
-// work (quiesce is idempotent; the runner already calls it outside the
-// refinement clock).
-func (d *dataFlowDriver) refine(advance bool) (bool, error) {
+// Refine runs the taskified refinement phase after draining in-flight
+// work (Quiesce is idempotent; the main loop already calls it outside the
+// refinement clock): the loop variants' refinement with the per-block
+// copies as tasks and the block transfers as TAMPI tasks.
+func (d *dataFlowDriver) Refine(advance bool) (bool, error) {
 	s := d.s
-	if err := d.quiesce(); err != nil {
+	if err := d.Quiesce(); err != nil {
 		return false, err
 	}
 	if advance {
@@ -560,77 +547,14 @@ func (d *dataFlowDriver) refine(advance bool) (bool, error) {
 		// paper's Section IV-B taskification.
 		return s.refineEpoch(s.sequentialRefineExec())
 	}
-	return s.refineEpoch(refineExec{
-		splitOwned:       d.splitOwned,
-		consolidateOwned: d.consolidateOwned,
-		mover:            &taskMover{d: d},
-	})
+	exec := s.loopRefineExec(d.g.ParFor)
+	exec.mover = &taskMover{d: d}
+	return s.refineEpoch(exec)
 }
 
-// splitOwned taskifies the block-splitting copies.
-//
-//amr:graph driver=dataflow phase=split seq=4
-//amr:par label=split axis=splits
-func (d *dataFlowDriver) splitOwned(refines []mesh.Coord) error {
-	s := d.s
-	children := make([][8]*grid.Data, len(refines))
-	for i, bc := range refines {
-		for o := 0; o < 8; o++ {
-			children[i][o] = s.newBlockData(bc.Child(o), false)
-		}
-		parent := s.data[bc]
-		ch := &children[i]
-		d.g.Spawn("split", func(t *task.Task) {
-			s.rec.Span(s.rank, t.Worker(), "split", func() { parent.SplitInto(ch) })
-		})
-	}
-	d.g.Wait()
-	for i, bc := range refines {
-		s.releaseBlock(s.data[bc])
-		delete(s.data, bc)
-		for o := 0; o < 8; o++ {
-			s.data[bc.Child(o)] = children[i][o]
-		}
-	}
-	return nil
-}
-
-// consolidateOwned taskifies the coarsening copies.
-//
-//amr:graph driver=dataflow phase=consolidate seq=5
-//amr:par label=consolidate axis=merges
-func (d *dataFlowDriver) consolidateOwned(parents []mesh.Coord) error {
-	s := d.s
-	newParents := make([]*grid.Data, len(parents))
-	for i, p := range parents {
-		var ch [8]*grid.Data
-		for o := 0; o < 8; o++ {
-			c, ok := s.data[p.Child(o)]
-			if !ok {
-				return fmt.Errorf("app: consolidation of %v: child %d not local", p, o)
-			}
-			ch[o] = c
-		}
-		newParents[i] = s.newBlockData(p, false)
-		parent := newParents[i]
-		d.g.Spawn("consolidate", func(t *task.Task) {
-			s.rec.Span(s.rank, t.Worker(), "consolidate", func() { parent.ConsolidateFrom(&ch) })
-		})
-	}
-	d.g.Wait()
-	for i, p := range parents {
-		for o := 0; o < 8; o++ {
-			s.releaseBlock(s.data[p.Child(o)])
-			delete(s.data, p.Child(o))
-		}
-		s.data[p] = newParents[i]
-	}
-	return nil
-}
-
-// drain completes the run: wait out the graph and settle pending delayed
+// Drain completes the run: wait out the graph and settle pending delayed
 // checksums.
-func (d *dataFlowDriver) drain() error {
+func (d *dataFlowDriver) Drain() error {
 	d.g.Wait()
 	for par := 0; par < 2; par++ {
 		if err := d.flushChecksum(par); err != nil {
@@ -651,13 +575,6 @@ func (m *taskMover) begin(moves int) {
 	m.d.xfers, m.d.nxfers = m.d.g.Reserve(2*moves), 2*moves
 }
 
-// sendBlock is anchored directly: the exchange protocol reaches it only
-// through the blockMover interface, which static extraction cannot see
-// through.
-//
-//amr:graph driver=dataflow phase=exchange-send seq=6
-//amr:par label=exchange-pack axis=xfers
-//amr:par label=exchange-send axis=xfers
 func (m *taskMover) sendBlock(bc mesh.Coord, blk *grid.Data, to, tag int) {
 	d := m.d
 	s := d.s
@@ -675,9 +592,6 @@ func (m *taskMover) sendBlock(bc mesh.Coord, blk *grid.Data, to, tag int) {
 	}, d.g.In(key)...)
 }
 
-//amr:graph driver=dataflow phase=exchange-recv seq=7
-//amr:par label=exchange-recv axis=xfers
-//amr:par label=exchange-unpack axis=xfers
 func (m *taskMover) recvBlock(bc mesh.Coord, from, tag int) *grid.Data {
 	d := m.d
 	s := d.s

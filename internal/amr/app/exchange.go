@@ -46,8 +46,6 @@ type blockMover interface {
 // including bystanders — simulates the same accept/reject sequence and
 // applies identical ownership updates, while the ACK and id control
 // messages still flow for protocol fidelity.
-//
-//amr:graph driver=exchange phase=exchange seq=1
 func (s *state) exchangeBlocks(moves []mesh.Move, mv blockMover) error {
 	if len(moves) == 0 {
 		return nil
@@ -175,12 +173,10 @@ func (s *state) exchangeBlocks(moves []mesh.Move, mv blockMover) error {
 // refineExec abstracts how a variant executes the data-side of a
 // refinement epoch.
 type refineExec struct {
-	// splitOwned refines the rank's listed blocks: for each, produce the
-	// eight children data from the parent data.
-	splitOwned func(refines []mesh.Coord) error
-	// consolidateOwned coarsens each listed parent from its eight local
-	// children data.
-	consolidateOwned func(parents []mesh.Coord) error
+	// parFor runs the per-block copies of splitting and consolidation, one
+	// iteration per block: a region of the loop engine, or tasks labelled
+	// split or consolidate on the graph engine.
+	parFor func(label string, n int, body func(i, w int))
 	// mover transfers whole blocks for sibling gathering and load balance.
 	mover blockMover
 }
@@ -208,7 +204,7 @@ func (s *state) refineEpoch(exec refineExec) (bool, error) {
 			ownedRefines = append(ownedRefines, bc)
 		}
 	}
-	if err := exec.splitOwned(ownedRefines); err != nil {
+	if err := s.splitOwned(exec, ownedRefines); err != nil {
 		return false, err
 	}
 
@@ -224,7 +220,7 @@ func (s *state) refineEpoch(exec refineExec) (bool, error) {
 			ownedParents = append(ownedParents, p)
 		}
 	}
-	if err := exec.consolidateOwned(ownedParents); err != nil {
+	if err := s.consolidateOwned(exec, ownedParents); err != nil {
 		return false, err
 	}
 

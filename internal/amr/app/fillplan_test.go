@@ -103,7 +103,7 @@ func TestFillPlan(t *testing.T) {
 			panic(err)
 		}
 		step := func(advance bool) {
-			if _, err := d.refine(advance); err != nil {
+			if _, err := d.Refine(advance); err != nil {
 				t.Error(err)
 				panic(err)
 			}
@@ -206,13 +206,13 @@ func TestKeysAndPlanAreWrittenOnce(t *testing.T) {
 				panic(err)
 			}
 		}
-		_, err = d.refine(false)
+		_, err = d.Refine(false)
 		must(err)
 		if d.groups != 2 {
 			rankFatalf(t, "test configuration has %d groups, want 2", d.groups)
 		}
-		must(d.communicate(0, 2))
-		must(d.stencil(0, 2))
+		must(d.Communicate(1, 0, 2))
+		must(d.Compute(1, 0, 2))
 		tables := tablesOf(d)
 
 		// name is also what the sanitizer's reports must call the region.
@@ -261,10 +261,10 @@ func TestKeysAndPlanAreWrittenOnce(t *testing.T) {
 
 		// Group 1's exchange and stencil, then a checksum stage, which reads
 		// the blocks of both groups.
-		must(d.communicate(2, 4))
-		must(d.stencil(2, 4))
-		must(d.checksum())
-		must(d.drain())
+		must(d.Communicate(1, 2, 4))
+		must(d.Compute(1, 2, 4))
+		must(d.Checksum(1))
+		must(d.Drain())
 		if !tables.equal(tablesOf(d)) {
 			t.Errorf("rank %d: a later stage rewrote the epoch's tables", c.Rank())
 		}
@@ -291,6 +291,9 @@ type loggedTask struct {
 }
 
 func (l *graphLog) TaskSpawned(id uint64, label string, accs []task.Access) {
+	if id == 0 {
+		return // a taskwait
+	}
 	if len(l.tasks) == 0 {
 		l.first = id
 	}
@@ -341,7 +344,7 @@ func TestSharedBuffersOrderDirections(t *testing.T) {
 				t.Error(err)
 				panic(err)
 			}
-			if _, err := d.refine(false); err != nil {
+			if _, err := d.Refine(false); err != nil {
 				t.Error(err)
 				panic(err)
 			}
@@ -359,7 +362,7 @@ func TestSharedBuffersOrderDirections(t *testing.T) {
 			slices.Sort(secs) // shared buffers name a section once per direction
 			hold := make(chan struct{})
 			d.g.Spawn("gate", func(*task.Task) { <-hold }, d.g.Out(slices.Compact(secs)...)...)
-			if err := d.communicate(0, cfg.CommVars); err != nil {
+			if err := d.Communicate(1, 0, cfg.CommVars); err != nil {
 				t.Error(err)
 				panic(err)
 			}
@@ -405,7 +408,7 @@ func TestSharedBuffersOrderDirections(t *testing.T) {
 				}
 			}
 			close(hold)
-			if err := d.drain(); err != nil {
+			if err := d.Drain(); err != nil {
 				t.Error(err)
 			}
 			d.g.Close()
@@ -448,13 +451,13 @@ func TestShrunkEpochKeepsNoOldDependencies(t *testing.T) {
 		}
 		stages := func() {
 			for g0 := 0; g0 < cfg.Vars; g0 += cfg.CommVars {
-				must(d.communicate(g0, g0+cfg.CommVars))
-				must(d.stencil(g0, g0+cfg.CommVars))
+				must(d.Communicate(1, g0, g0+cfg.CommVars))
+				must(d.Compute(1, g0, g0+cfg.CommVars))
 			}
-			must(d.checksum())
+			must(d.Checksum(1))
 		}
 		for i := 0; i <= cfg.MaxLevel; i++ {
-			_, err := d.refine(false)
+			_, err := d.Refine(false)
 			must(err)
 		}
 		stages() // left in flight: the refinement below drains them
@@ -462,7 +465,7 @@ func TestShrunkEpochKeepsNoOldDependencies(t *testing.T) {
 
 		d.s.objs = nil // nothing marks a block any more: the mesh coarsens
 		for i := 0; i < cfg.MaxLevel; i++ {
-			_, err := d.refine(false)
+			_, err := d.Refine(false)
 			must(err)
 		}
 		stages() // the log is written by this goroutine's spawns only
@@ -473,7 +476,7 @@ func TestShrunkEpochKeepsNoOldDependencies(t *testing.T) {
 			}
 		}
 		edges := len(log.edges)
-		must(d.drain())
+		must(d.Drain())
 		if len(d.blocks) >= before || d.g.Reserve(0).Index() >= reserved {
 			t.Errorf("rank %d: %d blocks on %d regions after %d on %d: the epoch did not shrink",
 				c.Rank(), len(d.blocks), d.g.Reserve(0).Index(), before, reserved)

@@ -10,6 +10,7 @@ import (
 	"miniamr/internal/driver"
 	"miniamr/internal/membuf"
 	"miniamr/internal/mpi"
+	"miniamr/internal/task"
 	"miniamr/internal/trace"
 )
 
@@ -40,7 +41,11 @@ func runLoop(cfg Config, workers int, c *mpi.Comm, rec *trace.Recorder) (Result,
 	}
 	d := newLoopDriver(s, workers)
 	defer d.eng.ClosePool()
-	res, err := runMain(s, d)
+	var obs task.Observer
+	if cfg.TaskObserver != nil {
+		obs = cfg.TaskObserver(c.Rank())
+	}
+	res, err := runMain(s, driver.Observe(d, obs))
 	if err != nil {
 		return Result{}, err
 	}
@@ -106,14 +111,16 @@ func (d *loopDriver) addSections(msg []comm.Transfer, buf []float64) {
 	}
 }
 
-//amr:graph driver=loop phase=communicate seq=1
-//amr:par label=Irecv axis=msgs serial
-//amr:par label=IsendOwned axis=msgs serial
-//amr:par label=pack axis=segs
-//amr:par label=local-copy axis=locals
-//amr:par label=boundary axis=bfaces
-//amr:par label=unpack axis=segs
-func (d *loopDriver) communicate(g0, g1 int) error {
+// BeginStep has no per-step work: miniAMR's stages do not vary within a
+// timestep.
+func (d *loopDriver) BeginStep(int) error { return nil }
+
+// Communicate exchanges the ghost faces of the variable group [g0, g1):
+// per direction the master posts the receives, a region packs the outgoing
+// faces for the master to send, regions run the same-rank copies and
+// boundary faces while the messages fly, and one region per arrival
+// unpacks it.
+func (d *loopDriver) Communicate(_, g0, g1 int) error {
 	s := d.s
 	d.g0, d.g1 = g0, g1
 	gv := g1 - g0
@@ -220,9 +227,8 @@ func (d *loopDriver) unpackFace(i, w int) {
 	})
 }
 
-//amr:graph driver=loop phase=stencil seq=2
-//amr:par label=stencil axis=blocks
-func (d *loopDriver) stencil(g0, g1 int) error {
+// Compute applies the stencil to every owned block in one region.
+func (d *loopDriver) Compute(_, g0, g1 int) error {
 	s := d.s
 	d.g0, d.g1 = g0, g1
 	owned := s.owned()
@@ -239,9 +245,9 @@ func (d *loopDriver) stencilBlock(i, w int) {
 	s.rec.Span(s.rank, w, "stencil", func() { s.runStencil(blk, d.g0, d.g1) })
 }
 
-//amr:graph driver=loop phase=checksum seq=3
-//amr:par label=cksum-local axis=blocks
-func (d *loopDriver) checksum() error {
+// Checksum reduces every owned block in one region and validates the
+// global sums on the master.
+func (d *loopDriver) Checksum(int) error {
 	s := d.s
 	owned := s.owned()
 	sums := make([][]float64, len(owned))
@@ -259,39 +265,45 @@ func (d *loopDriver) checksum() error {
 	return s.reduceAndValidate(local)
 }
 
-func (d *loopDriver) refine(advance bool) (bool, error) {
+// Refine runs one refinement phase with the per-block copies in regions.
+func (d *loopDriver) Refine(advance bool) (bool, error) {
 	s := d.s
 	if advance {
 		s.advanceObjects()
 	}
-	return s.refineEpoch(s.loopRefineExec(d.eng.ParFor))
+	return s.refineEpoch(s.loopRefineExec(unlabelled(d.eng.ParFor)))
 }
 
 // loopRefineExec is the loop variants' refinement execution: the per-block
-// copies in regions of the given parallel-for, the block transfers blocking
-// on the master.
-func (s *state) loopRefineExec(parFor func(n int, body func(i, w int))) refineExec {
-	return refineExec{
-		splitOwned:       func(refines []mesh.Coord) error { return s.splitOwned(parFor, refines) },
-		consolidateOwned: func(parents []mesh.Coord) error { return s.consolidateOwned(parFor, parents) },
-		mover:            &blockingMover{s: s},
-	}
+// copies under the given parallel-for, the block transfers blocking on the
+// master. The data-flow driver runs it with the graph engine's parallel-for
+// and its own mover.
+func (s *state) loopRefineExec(parFor func(label string, n int, body func(i, w int))) refineExec {
+	return refineExec{parFor: parFor, mover: &blockingMover{s: s}}
+}
+
+// unlabelled adapts a loop engine's parallel-for to refineExec's: only the
+// graph engine's tasks carry the label.
+func unlabelled(parFor func(n int, body func(i, w int))) func(string, int, func(i, w int)) {
+	return func(_ string, n int, body func(i, w int)) { parFor(n, body) }
 }
 
 // sequentialRefineExec is the refinement execution of the data-flow
 // SequentialRefinement ablation: the loop driver's, on one worker.
-func (s *state) sequentialRefineExec() refineExec { return s.loopRefineExec(driver.RunInline) }
+func (s *state) sequentialRefineExec() refineExec {
+	return s.loopRefineExec(unlabelled(driver.RunInline))
+}
 
 // splitOwned parallelises the per-block child copies (the paper extends
 // the fork-join variant with exactly this for a fair comparison).
-func (s *state) splitOwned(parFor func(n int, body func(i, w int)), refines []mesh.Coord) error {
+func (s *state) splitOwned(exec refineExec, refines []mesh.Coord) error {
 	children := make([][8]*grid.Data, len(refines))
 	for i, bc := range refines {
 		for o := 0; o < 8; o++ {
 			children[i][o] = s.newBlockData(bc.Child(o), false)
 		}
 	}
-	parFor(len(refines), func(i, w int) {
+	exec.parFor("split", len(refines), func(i, w int) {
 		parent := s.data[refines[i]]
 		s.rec.Span(s.rank, w, "split", func() { parent.SplitInto(&children[i]) })
 	})
@@ -305,7 +317,7 @@ func (s *state) splitOwned(parFor func(n int, body func(i, w int)), refines []me
 	return nil
 }
 
-func (s *state) consolidateOwned(parFor func(n int, body func(i, w int)), parents []mesh.Coord) error {
+func (s *state) consolidateOwned(exec refineExec, parents []mesh.Coord) error {
 	type job struct {
 		parent   *grid.Data
 		children [8]*grid.Data
@@ -321,7 +333,7 @@ func (s *state) consolidateOwned(parFor func(n int, body func(i, w int)), parent
 			jobs[i].children[o] = ch
 		}
 	}
-	parFor(len(jobs), func(i, w int) {
+	exec.parFor("consolidate", len(jobs), func(i, w int) {
 		s.rec.Span(s.rank, w, "consolidate", func() { jobs[i].parent.ConsolidateFrom(&jobs[i].children) })
 	})
 	for i, p := range parents {
@@ -334,7 +346,8 @@ func (s *state) consolidateOwned(parFor func(n int, body func(i, w int)), parent
 	return nil
 }
 
-func (d *loopDriver) drain() error { return nil }
+// Drain has nothing to complete: regions end with an implicit barrier.
+func (d *loopDriver) Drain() error { return nil }
 
 // blockingMover transfers block payloads inline with blocking operations on
 // the calling (master) thread, the reference behaviour.
@@ -342,8 +355,6 @@ type blockingMover struct {
 	s *state
 }
 
-//amr:graph driver=loop phase=exchange-send seq=4
-//amr:par label=SendOwned axis=xfers serial
 func (m *blockingMover) sendBlock(bc mesh.Coord, blk *grid.Data, to, tag int) {
 	s := m.s
 	lease := s.arena.LeaseFloat64(blk.InteriorLen())
@@ -355,8 +366,6 @@ func (m *blockingMover) sendBlock(bc mesh.Coord, blk *grid.Data, to, tag int) {
 	s.rec.Record(s.rank, 0, "exchange-send", start, time.Now())
 }
 
-//amr:graph driver=loop phase=exchange-recv seq=5
-//amr:par label=Recv axis=xfers serial
 func (m *blockingMover) recvBlock(bc mesh.Coord, from, tag int) *grid.Data {
 	s := m.s
 	blk := s.newBlockData(bc, false)
@@ -375,5 +384,5 @@ func (m *blockingMover) begin(int) {}
 
 func (m *blockingMover) barrier() error { return nil }
 
-// quiesce is a no-op: regions end with an implicit barrier.
-func (d *loopDriver) quiesce() error { return nil }
+// Quiesce is a no-op: regions end with an implicit barrier.
+func (d *loopDriver) Quiesce() error { return nil }

@@ -10,48 +10,12 @@ func init() {
 	driver.Register("miniamr", driver.Variants...)
 }
 
-// stages is the variant-specific stage set plugged into the shared main
-// loop. miniAMR's drivers are thin stage definitions against the
-// extracted skeleton in internal/driver; this interface is their common
-// face, adapted onto driver.Hooks below.
-type stages interface {
-	// communicate exchanges ghost faces for the variable group [g0, g1).
-	communicate(g0, g1 int) error
-	// stencil applies the 7-point stencil to all owned blocks for the
-	// group.
-	stencil(g0, g1 int) error
-	// checksum runs one checksum/validation stage over all variables.
-	checksum() error
-	// quiesce completes all in-flight asynchronous stage work. The runner
-	// calls it before starting the refinement clock so that drained stage
-	// work is not accounted as refinement time.
-	quiesce() error
-	// refine runs one refinement phase; advance moves the objects first.
-	refine(advance bool) (bool, error)
-	// drain completes outstanding asynchronous work at the end of the run
-	// (including a pending delayed checksum validation).
-	drain() error
-}
-
-// hooks adapts a stage set to driver.Hooks. miniAMR's stages do not vary
-// within a timestep, so the per-step and per-stage position arguments are
-// unused.
-type hooks struct{ d stages }
-
-func (h hooks) BeginStep(int) error               { return nil }
-func (h hooks) Communicate(_, g0, g1 int) error   { return h.d.communicate(g0, g1) }
-func (h hooks) Compute(_, g0, g1 int) error       { return h.d.stencil(g0, g1) }
-func (h hooks) Checksum(int) error                { return h.d.checksum() }
-func (h hooks) Quiesce() error                    { return h.d.quiesce() }
-func (h hooks) Refine(advance bool) (bool, error) { return h.d.refine(advance) }
-func (h hooks) Drain() error                      { return h.d.drain() }
-
 // runMain executes the miniAMR main loop (the paper's Algorithm 1/4) over
-// a stage set and collects the rank's results. The loop schedule itself
-// lives in the driver skeleton; miniAMR contributes the stage structure
-// (its variable groups, checksum cadence and refinement cadence) and the
-// checkpoint/result plumbing around it.
-func runMain(s *state, d stages) (Result, error) {
+// a variant's stage hooks and collects the rank's results. The loop
+// schedule itself lives in the driver skeleton; miniAMR contributes the
+// stage structure (its variable groups, checksum cadence and refinement
+// cadence) and the checkpoint/result plumbing around it.
+func runMain(s *state, h driver.Hooks) (Result, error) {
 	start := time.Now()
 	loop := driver.Loop{
 		Timesteps:         s.cfg.Timesteps,
@@ -69,7 +33,7 @@ func runMain(s *state, d stages) (Result, error) {
 		StartStep:        s.startStep,
 		StartStage:       s.startStage,
 	}
-	lr, err := loop.Run(hooks{d})
+	lr, err := loop.Run(h)
 	s.refineTime += lr.RefineTime
 	if err != nil {
 		return Result{}, err

@@ -21,11 +21,17 @@
 //     Allgatherv, ...) must be unconditional with respect to the rank;
 //     flags the classic collective-mismatch deadlock.
 //
-// Four whole-program verifiers ride on the same loader: graphlint
-// (task-graph and communication-topology invariants), perflint (the
-// static cost model), conclint (lock order, blocking-under-lock, channel
-// lifecycle) and determlint (nondeterminism sources must not reach
-// checksum, output or protocol sinks).
+// Two whole-program verifiers ride on the same loader: conclint (lock
+// order, blocking-under-lock, channel lifecycle) and determlint
+// (nondeterminism sources must not reach checksum, output or protocol
+// sinks).
+//
+// The driver task graphs are not read out of the source: Record runs a
+// driver and records the graph its runtime builds (record.go, graph.go).
+// graphlint checks the recorded graph (graphlint.go) and perflint
+// evaluates it in the work-span model and flags needless serialization
+// (costmodel.go, perflint.go); cmd/amrgraph and cmd/amrperf run them on
+// the committed goldens (goldens.go).
 //
 // The suite is stdlib-only: a go/parser+go/types loader over the module
 // tree (no go/packages, no external dependencies). Analysis is
@@ -56,9 +62,9 @@ type Finding struct {
 	Message  string
 }
 
-// ID is the stable finding identifier shared by amrlint, graphlint and
-// perflint JSON output: the analyzer name, qualified by the rule when
-// the analyzer distinguishes several.
+// ID is the stable finding identifier of amrlint's JSON output and of
+// graphlint's and perflint's findings: the analyzer name, qualified by the
+// rule when the analyzer distinguishes several.
 func (f Finding) ID() string {
 	if f.Rule == "" || f.Rule == f.Analyzer {
 		return f.Analyzer
@@ -79,7 +85,7 @@ type Analyzer struct {
 
 // All returns the full amrlint suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{LeaseLint, ReqLint, DepLint, CollectiveLint, GraphLint, PerfLint, ConcLint, DetermLint}
+	return []*Analyzer{LeaseLint, ReqLint, DepLint, CollectiveLint, ConcLint, DetermLint}
 }
 
 // Pass carries one analyzer's view of one package.

@@ -21,6 +21,9 @@ func TestAnalyzersOnCorpora(t *testing.T) {
 			runCorpus(t, a)
 		})
 	}
+	for _, name := range []string{"graphlint", "perflint"} {
+		t.Run(name, func(t *testing.T) { runGraphCorpus(t, name) })
+	}
 }
 
 var wantRE = regexp.MustCompile(`// want "([^"]+)"`)

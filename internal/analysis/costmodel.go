@@ -7,74 +7,49 @@ import (
 	"strings"
 )
 
-// This file is perflint's static cost model: it evaluates an extracted
-// driver graph under concrete instance counts (a CostConfig) into a
-// Profile — the work-span numbers of the classic parallelism model plus
-// the per-rank communication volume. One graph iteration is one pipeline
-// pass (a stage for the main-loop phases; regrid phases ride along with
-// their own axes), and every number is per rank.
+// This file is perflint's cost model: it evaluates a recorded driver graph
+// into a Profile — the work-span numbers of the classic parallelism model
+// plus the point-to-point and collective operations. One evaluation is one
+// pass through the pipeline with every node at its recorded per-invocation
+// count, on the busiest rank.
 //
 // Definitions, following the work-span model:
 //
-//   - Work is the total number of task instances: the sum of every
-//     node's instance count.
-//   - Span is the critical-path length in task instances — the longest
-//     dependence chain, where a parallel region contributes 1 (all its
-//     instances can run at once) and a serial region contributes its
-//     full count.
+//   - Work is the total number of instances: the sum of every node's count
+//     (and, on a loop driver, of the master's sends and receives).
+//   - Span is the critical-path length in instances — the longest
+//     dependence chain, where a parallel node contributes one step per
+//     region and a serial one its full count.
 //   - MaxWidth is the largest set of instances that can execute
 //     concurrently: a maximum-weight antichain of the dependence DAG,
-//     where a parallel node weighs its instance count and a serial node
-//     weighs 1.
+//     where a parallel node weighs its instances per region and a serial
+//     node weighs 1.
 //   - AvgWidth is Work/Span and SpeedupBound is min(Workers, Work/Span):
 //     no schedule on Workers cores beats it.
 //
-// Graphs whose parallelism the extractor materialised as task nodes (the
-// data-flow drivers) are evaluated over the whole dependence DAG, so
-// independent phases overlap — exactly the parallelism the paper's model
-// exposes. Graphs without task nodes (fork-join, MPI-only) compose by
-// phase barriers: spans add, widths max — the fork-join execution model.
+// Graphs with task nodes (the data-flow drivers) are evaluated over the
+// pass's whole dependence DAG, so independent phases overlap — exactly the
+// parallelism the paper's model exposes; their messages are sent and
+// received by tasks. Graphs without (fork-join, MPI-only) compose by phase
+// barriers: spans add, widths max, and the master's sends and receives are
+// serial steps of their phase. On one worker every node is serial.
 
-// CostConfig supplies the concrete per-rank instance counts a symbolic
-// graph is evaluated under.
-type CostConfig struct {
-	// Workers is the core count per rank, bounding SpeedupBound.
-	Workers int `json:"workers"`
-	// Axes maps an //amr:par axis name to its per-rank instance count
-	// (blocks, segs, msgs, ...).
-	Axes map[string]int `json:"axes"`
-	// Bytes maps an axis name to the payload bytes of one message whose
-	// node scales by that axis; this is where surface-to-volume scaling
-	// enters (a ghost-face message carries face cells, a block-exchange
-	// message carries a whole block).
-	Bytes map[string]int `json:"bytes,omitempty"`
-	// CollectiveBytes is the payload of one collective.
-	CollectiveBytes int `json:"collective_bytes,omitempty"`
-}
-
-// NodeCost is one node's evaluation: its resolved axis, instance count
-// and scheduling class.
+// NodeCost is one node's evaluation.
 type NodeCost struct {
-	ID     string `json:"id"`
-	Kind   string `json:"kind"` // node kind, or "par" for a synthetic region
-	Axis   string `json:"axis,omitempty"`
-	Count  int    `json:"count"`
-	Serial bool   `json:"serial,omitempty"`
-	Sends  int    `json:"sends,omitempty"` // messages sent per iteration
-	Recvs  int    `json:"recvs,omitempty"`
-
-	phase string
-	node  *Node // nil for synthetic //amr:par regions
+	ID      string `json:"id"`
+	Kind    string `json:"kind"`
+	Count   int    `json:"count"`
+	Regions int    `json:"regions,omitempty"`
+	Serial  bool   `json:"serial,omitempty"`
 }
 
-// Profile is the static performance profile of one driver graph.
+// Profile is the performance profile of one driver graph.
 type Profile struct {
 	// Name is what the profile is filed under (see ProfileName).
-	Name    string         `json:"name"`
-	Driver  string         `json:"driver"`
-	Mode    string         `json:"mode"` // "dataflow" (whole-DAG) or "barrier" (per-phase)
-	Workers int            `json:"workers"`
-	Axes    map[string]int `json:"axes"`
+	Name    string `json:"name"`
+	Driver  string `json:"driver"`
+	Mode    string `json:"mode"` // "dataflow" (whole DAG) or "barrier" (per phase)
+	Workers int    `json:"workers"`
 
 	Work         int     `json:"work"`
 	Span         int     `json:"span"`
@@ -82,145 +57,53 @@ type Profile struct {
 	AvgWidth     float64 `json:"avg_width"`
 	SpeedupBound float64 `json:"speedup_bound"`
 
-	Sends           int `json:"sends"`
-	SendBytes       int `json:"send_bytes"`
-	Recvs           int `json:"recvs"`
-	RecvBytes       int `json:"recv_bytes"`
-	Collectives     int `json:"collectives"`
-	CollectiveBytes int `json:"collective_bytes"`
+	Sends       int `json:"sends"`
+	Recvs       int `json:"recvs"`
+	Collectives int `json:"collectives"`
 
-	Nodes    []NodeCost `json:"nodes"`
-	Warnings []string   `json:"warnings,omitempty"`
+	Nodes []NodeCost `json:"nodes"`
 }
 
-// ProfileGraph evaluates one extracted graph under a cost configuration.
-func ProfileGraph(g *Graph, cfg CostConfig) *Profile {
-	p := &Profile{
-		Name:    ProfileName(g.Driver, cfg),
-		Driver:  g.Driver,
-		Workers: cfg.Workers,
-		Axes:    cfg.Axes,
+// ProfileName is the name a profile at the given worker count is filed
+// under: the driver's, with the worker count appended when the driver has
+// more than one profile to tell apart.
+func ProfileName(driver string, workers int, several bool) string {
+	if several {
+		return fmt.Sprintf("%s-w%d", driver, workers)
 	}
-	if p.Workers <= 0 {
-		p.Workers = 1
-	}
-	costs := p.evalNodes(g, cfg)
+	return driver
+}
 
-	for i := range costs {
-		c := &costs[i]
+// ProfileGraph evaluates a recorded graph for a rank of the given worker
+// count.
+func ProfileGraph(g *Graph, workers int) *Profile {
+	p := &Profile{Name: g.Driver, Driver: g.Driver, Workers: max(workers, 1)}
+	for _, n := range g.Nodes {
+		c := NodeCost{ID: n.ID, Kind: n.Kind, Count: n.Count, Regions: n.Regions,
+			Serial: n.Kind == "wait" || n.Kind == "collective" || p.Workers == 1}
 		p.Work += c.Count
-		if c.Sends > 0 {
-			p.Sends += c.Sends
-			p.SendBytes += c.Sends * cfg.Bytes[c.Axis]
-		}
-		if c.Recvs > 0 {
-			p.Recvs += c.Recvs
-			p.RecvBytes += c.Recvs * cfg.Bytes[c.Axis]
-		}
 		if c.Kind == "collective" {
-			p.Collectives++
-			p.CollectiveBytes += cfg.CollectiveBytes
+			p.Collectives += c.Count
 		}
+		p.Nodes = append(p.Nodes, c)
 	}
-
+	for _, ph := range g.Phases {
+		p.Sends += ph.Sends
+		p.Recvs += ph.Recvs
+	}
 	if hasTaskNodes(g) {
 		p.Mode = "dataflow"
-		p.Span, p.MaxWidth = dagCost(g, costs)
+		p.Span, p.MaxWidth = dagCost(g, p.Nodes)
 	} else {
 		p.Mode = "barrier"
-		p.Span, p.MaxWidth = barrierCost(g, costs)
+		p.Work += p.Sends + p.Recvs
+		p.Span, p.MaxWidth = barrierCost(g, p.Nodes)
 	}
 	if p.Span > 0 {
 		p.AvgWidth = float64(p.Work) / float64(p.Span)
 	}
-	p.SpeedupBound = p.AvgWidth
-	if w := float64(p.Workers); p.SpeedupBound > w {
-		p.SpeedupBound = w
-	}
-	p.Nodes = costs
+	p.SpeedupBound = min(p.AvgWidth, float64(p.Workers))
 	return p
-}
-
-// evalNodes resolves every node (and synthetic //amr:par region) to its
-// axis, instance count and scheduling class. Resolution order: an
-// //amr:par directive whose label matches the node's label within its
-// phase wins; otherwise task nodes default to one parallel instance and
-// everything else to one serial step. Par labels that match no node
-// become synthetic parallel-region nodes of their phase. On one worker
-// every region is serial, whatever its directive says: the same loop
-// driver graph is the MPI-only rank at Workers 1 and the fork-join rank
-// above, and the `serial` keyword is left for what stays on the master
-// thread at any worker count.
-func (p *Profile) evalNodes(g *Graph, cfg CostConfig) []NodeCost {
-	parFor := make(map[string]*parSpec)
-	matched := make(map[string]bool)
-	for i := range g.pars {
-		ps := &g.pars[i]
-		key := ps.Phase + "\x00" + ps.Label
-		if parFor[key] != nil {
-			p.warnf("duplicate //amr:par label %s in phase %s", ps.Label, ps.Phase)
-			continue
-		}
-		parFor[key] = ps
-	}
-	countOf := func(axis string) int {
-		if axis == "" {
-			return 1
-		}
-		n, ok := cfg.Axes[axis]
-		if !ok {
-			p.warnf("axis %s has no count in the configuration (using 1)", axis)
-			return 1
-		}
-		if n < 1 {
-			return 1
-		}
-		return n
-	}
-
-	var costs []NodeCost
-	for _, n := range g.Nodes {
-		c := NodeCost{ID: n.ID, Kind: n.Kind, Count: 1, Serial: n.Kind != "task", phase: n.Phase, node: n}
-		if ps := parFor[n.Phase+"\x00"+n.Label]; ps != nil {
-			matched[ps.Phase+"\x00"+ps.Label] = true
-			c.Axis = ps.Axis
-			c.Count = countOf(ps.Axis)
-			c.Serial = ps.Serial || p.Workers == 1
-		}
-		sends, recvs := false, false
-		for _, ev := range n.Comm {
-			switch ev.Kind {
-			case "send":
-				sends = true
-			case "recv":
-				recvs = true
-			}
-		}
-		if sends {
-			c.Sends = c.Count
-		}
-		if recvs {
-			c.Recvs = c.Count
-		}
-		costs = append(costs, c)
-	}
-	for i := range g.pars {
-		ps := &g.pars[i]
-		key := ps.Phase + "\x00" + ps.Label
-		if matched[key] || parFor[key] != ps {
-			continue
-		}
-		costs = append(costs, NodeCost{
-			ID: ps.Phase + "/" + ps.Label, Kind: "par",
-			Axis: ps.Axis, Count: countOf(ps.Axis), Serial: ps.Serial || p.Workers == 1,
-			phase: ps.Phase,
-		})
-	}
-	return costs
-}
-
-func (p *Profile) warnf(format string, args ...any) {
-	p.Warnings = append(p.Warnings, fmt.Sprintf(format, args...))
 }
 
 func hasTaskNodes(g *Graph) bool {
@@ -232,57 +115,50 @@ func hasTaskNodes(g *Graph) bool {
 	return false
 }
 
-// spanWeight is a node's contribution to a dependence chain: a parallel
-// region is one step regardless of width, a serial region is one step
-// per instance.
+// spanWeight is a node's contribution to a dependence chain: one step per
+// parallel region, one per instance of a serial node.
 func spanWeight(c *NodeCost) int {
 	if c.Serial {
 		return c.Count
 	}
-	return 1
+	return max(c.Regions, 1)
 }
 
-// widthWeight is a node's contribution to concurrent occupancy: every
-// instance of a parallel region, one for a serial one.
+// widthWeight is a node's contribution to concurrent occupancy: the
+// instances of one of its parallel regions, one for a serial node.
 func widthWeight(c *NodeCost) int {
 	if c.Serial {
 		return 1
 	}
-	return c.Count
+	r := max(c.Regions, 1)
+	return (c.Count + r - 1) / r
 }
 
-// dagCost evaluates a task-bearing graph over its whole dependence DAG:
-// span is the weighted longest path, width the maximum-weight antichain
-// under reachability. Extraction emits edges forward in node order (the
-// acyclicity invariant graphlint pins), so a single sweep suffices for
-// the longest path; synthetic par nodes are isolated vertices.
+// dagCost evaluates a task-bearing graph over its dependence DAG within a
+// pass (the edges that are not carried): span is the weighted longest path,
+// width the maximum-weight antichain under reachability.
 func dagCost(g *Graph, costs []NodeCost) (span, width int) {
-	idx := make(map[string]int, len(costs))
-	for i := range costs {
-		idx[costs[i].ID] = i
+	order, _ := g.topoOrder() // graphlint reports a cycle; its nodes drop out here
+	idx := make(map[string]int, len(g.Nodes))
+	for i, n := range g.Nodes {
+		idx[n.ID] = i
 	}
 	n := len(costs)
+	preds := make([][]int, n)
+	for _, e := range g.Edges {
+		if !e.Carried {
+			preds[idx[e.To]] = append(preds[idx[e.To]], idx[e.From])
+		}
+	}
 	reach := make([][]bool, n)
 	for i := range reach {
 		reach[i] = make([]bool, n)
 	}
-	preds := make([][]int, n)
-	for _, e := range g.Edges {
-		f, fok := idx[e.From]
-		t, tok := idx[e.To]
-		if !fok || !tok || f == t {
-			continue
-		}
-		preds[t] = append(preds[t], f)
-	}
-
 	dist := make([]int, n)
-	for i := 0; i < n; i++ {
+	for _, i := range order {
 		longest := 0
 		for _, f := range preds[i] {
-			if dist[f] > longest {
-				longest = dist[f]
-			}
+			longest = max(longest, dist[f])
 			reach[f][i] = true
 			for j := 0; j < n; j++ {
 				if reach[j][f] {
@@ -291,11 +167,8 @@ func dagCost(g *Graph, costs []NodeCost) (span, width int) {
 			}
 		}
 		dist[i] = longest + spanWeight(&costs[i])
-		if dist[i] > span {
-			span = dist[i]
-		}
+		span = max(span, dist[i])
 	}
-
 	weights := make([]int, n)
 	for i := range costs {
 		weights[i] = widthWeight(&costs[i])
@@ -305,26 +178,17 @@ func dagCost(g *Graph, costs []NodeCost) (span, width int) {
 }
 
 // barrierCost composes a graph without task nodes phase by phase, the
-// fork-join execution model: a barrier ends every phase, so spans add
-// and widths max. Within one phase the master thread issues the serial
-// nodes and forks each parallel region, so the phase span is the sum of
-// serial steps plus one step per parallel region, and the phase width is
-// its widest single region.
+// fork-join execution model: a barrier ends every phase, so spans add and
+// widths max. Within a phase the master issues the serial steps — its
+// sends and receives among them — and forks each parallel region.
 func barrierCost(g *Graph, costs []NodeCost) (span, width int) {
 	width = 1
-	byPhase := make(map[string][]*NodeCost)
-	for i := range costs {
-		byPhase[costs[i].phase] = append(byPhase[costs[i].phase], &costs[i])
-	}
 	for _, ph := range g.Phases {
-		phaseSpan := 0
-		for _, c := range byPhase[ph.Name] {
-			phaseSpan += spanWeight(c)
-			if w := widthWeight(c); w > width {
-				width = w
-			}
-		}
-		span += phaseSpan
+		span += ph.Sends + ph.Recvs
+	}
+	for i := range costs {
+		span += spanWeight(&costs[i])
+		width = max(width, widthWeight(&costs[i]))
 	}
 	return span, width
 }
@@ -372,44 +236,28 @@ func maxWeightAntichain(weights []int, comparable func(i, j int) bool) int {
 	return best
 }
 
-// Text renders the canonical golden form of a profile. Like the graph
-// goldens it carries no positions, so only real model changes churn it.
+// Text renders the canonical golden form of a profile.
 func (p *Profile) Text() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "driver %s\n", p.Driver)
 	fmt.Fprintf(&b, "mode %s\n", p.Mode)
 	fmt.Fprintf(&b, "workers %d\n", p.Workers)
-	axes := make([]string, 0, len(p.Axes))
-	for a := range p.Axes {
-		axes = append(axes, a)
-	}
-	sort.Strings(axes)
-	b.WriteString("axes")
-	for _, a := range axes {
-		fmt.Fprintf(&b, " %s=%d", a, p.Axes[a])
-	}
-	b.WriteByte('\n')
 	fmt.Fprintf(&b, "work %d\n", p.Work)
 	fmt.Fprintf(&b, "span %d\n", p.Span)
 	fmt.Fprintf(&b, "width max=%d avg=%.2f\n", p.MaxWidth, p.AvgWidth)
 	fmt.Fprintf(&b, "speedup-bound %.2f\n", p.SpeedupBound)
-	fmt.Fprintf(&b, "comm sends=%d/%dB recvs=%d/%dB collectives=%d/%dB\n",
-		p.Sends, p.SendBytes, p.Recvs, p.RecvBytes, p.Collectives, p.CollectiveBytes)
+	fmt.Fprintf(&b, "comm sends=%d recvs=%d collectives=%d\n", p.Sends, p.Recvs, p.Collectives)
 	b.WriteString("nodes\n")
 	for i := range p.Nodes {
 		c := &p.Nodes[i]
-		fmt.Fprintf(&b, "  %s %s", c.ID, c.Kind)
-		if c.Axis != "" {
-			fmt.Fprintf(&b, " axis=%s", c.Axis)
+		fmt.Fprintf(&b, "  %s %s count=%d", c.ID, c.Kind, c.Count)
+		if c.Regions > 0 {
+			fmt.Fprintf(&b, " regions=%d", c.Regions)
 		}
-		fmt.Fprintf(&b, " count=%d", c.Count)
 		if c.Serial {
 			b.WriteString(" serial")
 		}
 		b.WriteByte('\n')
-	}
-	for _, w := range p.Warnings {
-		fmt.Fprintf(&b, "warning %s\n", w)
 	}
 	return b.String()
 }

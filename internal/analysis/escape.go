@@ -67,7 +67,7 @@ func CollectHotFuncs(pkgs []*Package) ([]HotFunc, []Finding) {
 				}
 				if budget < 0 {
 					findings = append(findings, Finding{
-						Pos: pos, Analyzer: PerfLint.Name,
+						Pos: pos, Analyzer: "perflint",
 						Rule: "perf-hot-alloc", Severity: "error",
 						Message: "malformed //amr:hot directive: need allocs=<n>",
 					})
@@ -172,14 +172,14 @@ func CheckEscapes(hots []HotFunc, sites []EscapeSite) []Finding {
 		switch {
 		case n > h.Budget:
 			findings = append(findings, Finding{
-				Pos: h.Pos, Analyzer: PerfLint.Name,
+				Pos: h.Pos, Analyzer: "perflint",
 				Rule: "perf-hot-alloc", Severity: "error",
 				Message: fmt.Sprintf("%s has %d heap-escape sites, over its //amr:hot budget of %d: %s",
 					h.Name, n, h.Budget, strings.Join(msgs, "; ")),
 			})
 		case n < h.Budget:
 			findings = append(findings, Finding{
-				Pos: h.Pos, Analyzer: PerfLint.Name,
+				Pos: h.Pos, Analyzer: "perflint",
 				Rule: "perf-hot-alloc", Severity: "warning",
 				Message: fmt.Sprintf("%s has %d heap-escape sites, under its //amr:hot budget of %d: lower the pin",
 					h.Name, n, h.Budget),
@@ -187,4 +187,32 @@ func CheckEscapes(hots []HotFunc, sites []EscapeSite) []Finding {
 		}
 	}
 	return dedupeFindings(findings)
+}
+
+// directiveLine finds `//<prefix> rest` in a comment group.
+func directiveLine(doc *ast.CommentGroup, prefix string) (string, bool) {
+	if doc == nil {
+		return "", false
+	}
+	for _, c := range doc.List {
+		text := strings.TrimPrefix(c.Text, "//")
+		if rest, ok := strings.CutPrefix(text, prefix); ok {
+			return strings.TrimSpace(rest), true
+		}
+	}
+	return "", false
+}
+
+// baseTypeName strips pointers and package qualifiers from a type
+// expression, returning the bare type name.
+func baseTypeName(t ast.Expr) string {
+	switch t := ast.Unparen(t).(type) {
+	case *ast.Ident:
+		return t.Name
+	case *ast.SelectorExpr:
+		return t.Sel.Name
+	case *ast.StarExpr:
+		return baseTypeName(t.X)
+	}
+	return ""
 }

@@ -2,109 +2,141 @@ package analysis
 
 import (
 	"encoding/json"
-	"go/token"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// appGraphs extracts the driver graphs from the real application
-// package, failing the test on extraction findings: the committed tree
-// must satisfy every graph invariant.
-func appGraphs(t *testing.T) []*Graph {
-	t.Helper()
-	fset := token.NewFileSet()
-	pkgs, err := Load(fset, []string{filepath.Join("..", "amr", "app")}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	graphs, findings := ExtractGraphs(pkgs)
-	for _, f := range findings {
-		t.Errorf("graph finding on the real tree: %s", f)
-	}
-	return graphs
+var recorded struct {
+	once   sync.Once
+	graphs map[string]*Graph
+	order  []Recording
 }
 
-// TestGoldenGraphs locks the extracted task DAGs and communication
-// topologies against the committed goldens. Refresh with:
+// goldenGraphs records every golden graph once per test binary and fails
+// the test on a graphlint or perflint finding: the real drivers must record
+// clean.
+func goldenGraphs(t *testing.T) map[string]*Graph {
+	t.Helper()
+	recorded.once.Do(func() {
+		recorded.graphs = map[string]*Graph{}
+		recorded.order = Goldens()
+		for _, r := range recorded.order {
+			g, findings, err := Record(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range append(findings, PerfLint(g)...) {
+				t.Errorf("finding on the real driver %s: %s", r.Name, f)
+			}
+			recorded.graphs[r.Name] = g
+		}
+	})
+	if len(recorded.graphs) != len(Goldens()) {
+		t.Fatal("golden recording failed")
+	}
+	return recorded.graphs
+}
+
+// checkGoldens compares the named graphs with their committed goldens.
+// Refresh with:
 //
-//	go run ./cmd/amrgraph -update internal/analysis/testdata/golden ./internal/amr/app
-func TestGoldenGraphs(t *testing.T) {
-	graphs := appGraphs(t)
-	want := []string{"dataflow", "exchange", "loop"}
-	var got []string
-	for _, g := range graphs {
-		got = append(got, g.Driver)
-	}
-	if strings.Join(got, " ") != strings.Join(want, " ") {
-		t.Fatalf("extracted drivers %v, want %v", got, want)
-	}
-	for _, g := range graphs {
-		path := filepath.Join("testdata", "golden", g.Driver+".txt")
+//	go run ./cmd/amrgraph -update internal/analysis/testdata/golden
+func checkGoldens(t *testing.T, names ...string) {
+	graphs := goldenGraphs(t)
+	for _, name := range names {
+		path := filepath.Join("testdata", "golden", name+".txt")
 		golden, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatalf("missing golden (refresh with cmd/amrgraph -update): %v", err)
 		}
-		if text := g.Text(); text != string(golden) {
-			t.Errorf("driver %s diverges from %s:\n--- got ---\n%s--- want ---\n%s",
-				g.Driver, path, text, golden)
+		if text := graphs[name].Text(); text != string(golden) {
+			t.Errorf("driver %s diverges from %s:\n--- got ---\n%s--- want ---\n%s", name, path, text, golden)
 		}
 	}
+}
+
+// TestGoldenGraphs locks miniAMR's recorded task graphs against the
+// committed goldens.
+func TestGoldenGraphs(t *testing.T) { checkGoldens(t, "dataflow", "exchange", "loop") }
+
+// TestHydroGoldenGraphs locks HYDRO's recorded task graphs against the
+// committed goldens.
+func TestHydroGoldenGraphs(t *testing.T) { checkGoldens(t, "hydro-dataflow", "hydro-loop") }
+
+// edgeSet renders a graph's edges as "from -> to kind region[ carried]".
+func edgeSet(g *Graph) map[string]bool {
+	edges := make(map[string]bool)
+	for _, e := range g.Edges {
+		s := e.From + " -> " + e.To + " " + e.Kind + " " + e.Region
+		if e.Carried {
+			s += " carried"
+		}
+		edges[strings.TrimSpace(s)] = true
+	}
+	return edges
 }
 
 // TestGraphStructure asserts the load-bearing dataflow edges the paper's
 // task-graph figure promises, independent of golden churn.
 func TestGraphStructure(t *testing.T) {
-	graphs := appGraphs(t)
-	byDriver := make(map[string]*Graph)
-	for _, g := range graphs {
-		byDriver[g.Driver] = g
-	}
-	df := byDriver["dataflow"]
-	if df == nil {
-		t.Fatal("no dataflow graph extracted")
-	}
-	edges := make(map[string]string)
-	for _, e := range df.Edges {
-		edges[e.From+" -> "+e.To] = e.Kind + " " + e.Region
-	}
+	edges := edgeSet(goldenGraphs(t)["dataflow"])
 	// A block is two regions: the halo carries the ghost exchange into the
 	// stencil, the interior the stencil's result into the next readers. The
 	// stencil may not overwrite an interior that a neighbour's fill or a
-	// pack still reads.
-	want := map[string]string{
-		"communicate/pack -> communicate/send":         "flow section",
-		"communicate/recv -> communicate/unpack":       "flow section",
-		"communicate/local-copy -> communicate/unpack": "flow halo",
-		"communicate/unpack -> stencil/stencil":        "flow halo",
-		"communicate/pack -> stencil/stencil":          "anti interior",
-		"communicate/local-copy -> stencil/stencil":    "anti interior",
-		"stencil/stencil -> checksum/cksum-local":      "flow interior",
-	}
-	for e, kind := range want {
-		if edges[e] != kind {
-			t.Errorf("edge %q: got %q, want %q", e, edges[e], kind)
+	// pack still reads, and the next stage's packs read what it wrote.
+	for _, e := range []string{
+		"communicate/pack -> communicate/send flow section",
+		"communicate/recv -> communicate/unpack flow section",
+		"communicate/local-copy -> communicate/unpack flow halo",
+		"communicate/unpack -> compute/stencil flow halo",
+		"communicate/pack -> compute/stencil anti interior",
+		"communicate/local-copy -> compute/stencil anti interior",
+		"compute/stencil -> checksum/cksum-local flow interior",
+		"checksum/cksum-local -> checksum/taskwait flow slot",
+		"compute/stencil -> communicate/pack flow interior carried",
+	} {
+		if !edges[e] {
+			t.Errorf("edge %q missing", e)
 		}
 	}
 	// Packs read interiors and fills write halos: with one region per block
 	// each fill waited for the packs of its block.
-	if kind, ok := edges["communicate/pack -> communicate/local-copy"]; ok {
-		t.Errorf("false dependency pack -> local-copy (%s) is back", kind)
+	for e := range edges {
+		if strings.HasPrefix(e, "communicate/pack -> communicate/local-copy") {
+			t.Errorf("false dependency %s is back", e)
+		}
 	}
-	for _, g := range graphs {
-		for _, n := range g.Nodes {
-			if n.Unknown {
-				t.Errorf("driver %s node %s has unknown dependencies", g.Driver, n.ID)
-			}
+}
+
+// TestHydroGraphStructure asserts the load-bearing data-flow edges of the
+// second application: the communication and checksum chains thread
+// through the tile regions, and both reductions close with a collective
+// after their taskwait.
+func TestHydroGraphStructure(t *testing.T) {
+	edges := edgeSet(goldenGraphs(t)["hydro-dataflow"])
+	for _, e := range []string{
+		"communicate/pack -> communicate/send flow section",
+		"communicate/recv -> communicate/unpack flow section",
+		"communicate/unpack -> compute/sweep flow tile",
+		"compute/sweep -> checksum/cksum-local flow tile",
+		"checksum/cksum-local -> checksum/taskwait flow sum",
+		"begin-step/cfl-scan -> begin-step/taskwait flow wave",
+		"begin-step/taskwait -> begin-step/AllreduceFloat64(Max) seq",
+		"checksum/taskwait -> checksum/AllreduceFloat64(Sum) seq",
+	} {
+		if !edges[e] {
+			t.Errorf("edge %q missing", e)
 		}
 	}
 }
 
 // TestGraphEmitters smoke-tests the DOT and JSON renderings.
 func TestGraphEmitters(t *testing.T) {
-	graphs := appGraphs(t)
-	for _, g := range graphs {
+	for _, g := range goldenGraphs(t) {
 		var decoded Graph
 		if err := json.Unmarshal([]byte(g.JSON()), &decoded); err != nil {
 			t.Fatalf("driver %s JSON does not round-trip: %v", g.Driver, err)
@@ -120,6 +152,37 @@ func TestGraphEmitters(t *testing.T) {
 			if !strings.Contains(dot, "\""+n.ID+"\"") {
 				t.Errorf("driver %s DOT misses node %s", g.Driver, n.ID)
 			}
+		}
+	}
+}
+
+// TestGoldensDeterministic records every golden at GOMAXPROCS 1 and 4 and
+// requires byte-identical graphs and profiles: the recording reads program
+// order, never the schedule. make race runs it under the race detector too.
+func TestGoldensDeterministic(t *testing.T) {
+	render := func() string {
+		var b strings.Builder
+		for _, r := range Goldens() {
+			g, _, err := Record(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.WriteString(g.Text())
+			for _, w := range r.Profiles {
+				b.WriteString(ProfileGraph(g, w).Text())
+			}
+		}
+		return b.String()
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var ref string
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		got := render()
+		if ref == "" {
+			ref = got
+		} else if got != ref {
+			t.Errorf("GOMAXPROCS %d records different goldens:\n--- got ---\n%s--- want ---\n%s", procs, got, ref)
 		}
 	}
 }

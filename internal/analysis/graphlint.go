@@ -1,310 +1,162 @@
 package analysis
 
 import (
-	"go/ast"
-	"go/token"
-	"go/types"
+	"fmt"
 	"sort"
-	"strings"
 )
 
-// GraphLint is the whole-program layer of the suite: over the task DAG
-// and communication topology extracted from //amr:graph anchored driver
-// functions it verifies acyclicity, producer/consumer completeness of
-// stage regions (read-before-write and dead writes), send/recv
-// peer-and-tag symmetry under the mirror relation, and collective
-// call-sequence agreement across statically-reachable rank paths.
-var GraphLint = &Analyzer{
-	Name: "graphlint",
-	Doc: "whole-program task-graph and communication-topology invariants " +
-		"over //amr:graph anchored drivers",
-	run: runGraphLint,
+// graphlint checks a recorded driver graph: the label-level dependences
+// within a pass are acyclic, every stage region is written before it is
+// read and read after it is written (build checks those two during the
+// replay), every message sent is received, and every rank issues the same
+// collective sequence. Findings carry the ids graphlint/<rule>.
+
+func graphFinding(g *Graph, rule, format string, args ...any) Finding {
+	return Finding{Pos: g.pos(), Analyzer: "graphlint", Rule: rule, Severity: "error",
+		Message: fmt.Sprintf(format, args...)}
 }
 
-func runGraphLint(p *Pass) {
-	ex := newExtractor(p)
-	if len(ex.anchors) == 0 {
-		return
+// checkAcyclic verifies that the edges within a pass order the labels: a
+// cycle among them means two labels each wait for the other's instances of
+// the same stage. Carried edges legitimately point back to an earlier phase.
+func (g *Graph) checkAcyclic() []Finding {
+	if cyc := g.cycle(); cyc != "" {
+		return []Finding{graphFinding(g, "cycle", "driver %s task graph has a dependency cycle through %s", g.Driver, cyc)}
 	}
-	ex.graphs() // extraction + graph invariants report through the pass
-	ex.checkCollectiveSeqs()
+	return nil
 }
 
-// ExtractGraphs builds the driver graphs declared by //amr:graph anchors
-// in pkgs. The returned findings are the graph-invariant violations the
-// extraction surfaced, in the same order Run would report them.
-func ExtractGraphs(pkgs []*Package) ([]*Graph, []Finding) {
-	var findings []Finding
-	var graphs []*Graph
-	for _, pkg := range pkgs {
-		pass := &Pass{Fset: pkg.Fset, Pkg: pkg, analyzer: GraphLint, findings: &findings}
-		ex := newExtractor(pass)
-		if len(ex.anchors) == 0 {
+// cycle returns a node on a cycle of the forward edges, or "".
+func (g *Graph) cycle() string {
+	order, ok := g.topoOrder()
+	if ok {
+		return ""
+	}
+	done := make(map[string]bool, len(order))
+	for _, i := range order {
+		done[g.Nodes[i].ID] = true
+	}
+	for _, n := range g.Nodes {
+		if !done[n.ID] {
+			return n.ID
+		}
+	}
+	return ""
+}
+
+// topoOrder sorts the nodes along the forward edges (Kahn's algorithm, in
+// node order among the ready ones); ok is false when a cycle leaves some
+// out.
+func (g *Graph) topoOrder() (order []int, ok bool) {
+	idx := make(map[string]int, len(g.Nodes))
+	for i, n := range g.Nodes {
+		idx[n.ID] = i
+	}
+	indeg := make([]int, len(g.Nodes))
+	succs := make([][]int, len(g.Nodes))
+	for _, e := range g.Edges {
+		f, fok := idx[e.From]
+		t, tok := idx[e.To]
+		if e.Carried || !fok || !tok {
 			continue
 		}
-		graphs = append(graphs, ex.graphs()...)
+		succs[f] = append(succs[f], t)
+		indeg[t]++
 	}
-	sort.Slice(graphs, func(i, j int) bool { return graphs[i].Driver < graphs[j].Driver })
-	return graphs, dedupeFindings(findings)
-}
-
-// maxSeqSteps bounds the collective-sequence exploration; anchored
-// pipelines are small, so hitting the bound means a pathological input,
-// and the checker simply stops rather than misreports.
-const maxSeqSteps = 50000
-
-// checkCollectiveSeqs verifies that every rank path through each
-// anchored function (helpers inlined) issues the same collective
-// sequence. A rank-dependent branch where one path reaches a collective
-// the other skips — `if rank == 0 { return }` before an Allreduce — is
-// the loop-agnostic half of the collective-mismatch deadlock that
-// collectivelint's nesting rule cannot see.
-func (ex *extractor) checkCollectiveSeqs() {
-	c := &seqChecker{ex: ex, reported: make(map[token.Pos]bool)}
-	done := make(map[*ast.FuncDecl]bool)
-	for _, a := range ex.anchors {
-		if done[a.fd] {
-			continue
-		}
-		done[a.fd] = true
-		c.fnSeq(a.fd)
-	}
-}
-
-type seqChecker struct {
-	ex       *extractor
-	stack    []*ast.FuncDecl
-	steps    int
-	reported map[token.Pos]bool // helpers reachable from several anchors report once
-}
-
-// fnSeq computes a function's collective sequence, reporting divergences
-// found along the way.
-func (c *seqChecker) fnSeq(fd *ast.FuncDecl) []string {
-	cw := &collectiveWalker{pass: c.ex.pass, rankObjs: make(map[types.Object]bool)}
-	cw.prescan(fd.Body)
-	c.stack = append(c.stack, fd)
-	seq, _ := c.seqStmts(fd.Body.List, cw)
-	c.stack = c.stack[:len(c.stack)-1]
-	return seq
-}
-
-// seqStmts folds a statement list into the collective sequence it
-// issues, continuation-style: an if statement is analyzed together with
-// the statements that follow it, so early returns that skip a later
-// collective surface as diverging rank paths.
-func (c *seqChecker) seqStmts(list []ast.Stmt, cw *collectiveWalker) (seq []string, terminated bool) {
-	for i, s := range list {
-		if c.steps++; c.steps > maxSeqSteps {
-			return seq, true
-		}
-		switch s := s.(type) {
-		case *ast.IfStmt:
-			if s.Init != nil {
-				seq = append(seq, c.stmtSeq(s.Init, cw)...)
-			}
-			seq = append(seq, c.exprSeq(s.Cond, cw)...)
-			thenSeq, thenTerm := c.seqStmts(s.Body.List, cw)
-			var elseSeq []string
-			elseTerm := false
-			if s.Else != nil {
-				elseSeq, elseTerm = c.seqStmts([]ast.Stmt{s.Else}, cw)
-			}
-			tailSeq, tailTerm := c.seqStmts(list[i+1:], cw)
-			a := thenSeq
-			aTerm := thenTerm
-			if !thenTerm {
-				a = concat(thenSeq, tailSeq)
-				aTerm = tailTerm
-			}
-			b := elseSeq
-			bTerm := elseTerm
-			if !elseTerm {
-				b = concat(elseSeq, tailSeq)
-				bTerm = tailTerm
-			}
-			if cw.rankDependent(s.Cond) && !equalSeq(a, b) && !c.reported[s.Pos()] {
-				c.reported[s.Pos()] = true
-				c.ex.pass.Reportf(s.Pos(),
-					"collective sequence diverges across rank paths: one side of this rank-dependent branch issues [%s], the other [%s] (collective-mismatch deadlock)",
-					strings.Join(a, " "), strings.Join(b, " "))
-			}
-			// Continue along a non-terminating path; the branches agreed
-			// (or were already reported), so either serves as the suffix.
-			switch {
-			case !thenTerm:
-				return concat(seq, a), aTerm
-			case s.Else != nil && !elseTerm:
-				return concat(seq, b), bTerm
-			default:
-				return concat(seq, a), aTerm && bTerm
-			}
-		case *ast.ForStmt:
-			if s.Init != nil {
-				seq = append(seq, c.stmtSeq(s.Init, cw)...)
-			}
-			if s.Cond != nil {
-				seq = append(seq, c.exprSeq(s.Cond, cw)...)
-			}
-			body, _ := c.seqStmts(s.Body.List, cw) // one abstract iteration
-			seq = append(seq, body...)
-		case *ast.RangeStmt:
-			seq = append(seq, c.exprSeq(s.X, cw)...)
-			body, _ := c.seqStmts(s.Body.List, cw)
-			seq = append(seq, body...)
-		case *ast.ReturnStmt:
-			for _, r := range s.Results {
-				seq = append(seq, c.exprSeq(r, cw)...)
-			}
-			return seq, true
-		case *ast.BranchStmt:
-			if s.Tok == token.BREAK || s.Tok == token.CONTINUE {
-				return seq, true // ends this path within the enclosing context
-			}
-		case *ast.BlockStmt:
-			inner, term := c.seqStmts(s.List, cw)
-			seq = append(seq, inner...)
-			if term {
-				return seq, true
-			}
-		default:
-			seq = append(seq, c.stmtSeq(s, cw)...)
-			if isTerminalStmt(s) {
-				return seq, true
+	for len(order) < len(g.Nodes) {
+		next := -1
+		for i := range g.Nodes {
+			if indeg[i] == 0 {
+				next = i
+				break
 			}
 		}
+		if next < 0 {
+			return order, false
+		}
+		indeg[next] = -1
+		order = append(order, next)
+		for _, s := range succs[next] {
+			indeg[s]--
+		}
 	}
-	return seq, false
+	return order, true
 }
 
-// stmtSeq collects the collectives a non-branching statement issues.
-func (c *seqChecker) stmtSeq(s ast.Stmt, cw *collectiveWalker) []string {
-	var seq []string
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		seq = c.exprSeq(s.X, cw)
-	case *ast.AssignStmt:
-		for _, r := range s.Rhs {
-			seq = append(seq, c.exprSeq(r, cw)...)
-		}
-	case *ast.DeclStmt:
-		ast.Inspect(s, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				seq = append(seq, c.callSeq(call, cw)...)
-				return false
-			}
-			return true
-		})
-	case *ast.DeferStmt:
-		seq = c.exprSeq(s.Call, cw)
-	case *ast.GoStmt:
-		seq = c.exprSeq(s.Call, cw)
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-		// Branch bodies contribute conservatively in source order; the
-		// divergence rule stays focused on if statements, where the
-		// driver code concentrates its rank tests.
-		ast.Inspect(s, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				seq = append(seq, c.callSeq(call, cw)...)
-				return false
-			}
-			return true
-		})
-	case *ast.LabeledStmt:
-		seq = c.stmtSeq(s.Stmt, cw)
+// checkPairs matches the run's sends and receives by (source, destination,
+// tag): a send nobody receives is a message left in the transport, a
+// receive nobody sends to is a hang the run only survived by luck.
+func (r *recorder) checkPairs(g *Graph) []Finding {
+	var out []Finding
+	keys := make(map[[3]int]bool)
+	for k := range r.sends {
+		keys[k] = true
 	}
-	return seq
-}
-
-// exprSeq collects the collectives an expression issues, inlining
-// resolved in-package callees and descending into function literals
-// (their bodies execute in place for every wrapper the drivers use).
-func (c *seqChecker) exprSeq(e ast.Expr, cw *collectiveWalker) []string {
-	if e == nil {
-		return nil
+	for k := range r.recvs {
+		keys[k] = true
 	}
-	var seq []string
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			seq = append(seq, c.callSeq(n, cw)...)
-			return false
-		case *ast.FuncLit:
-			inner, _ := c.seqStmts(n.Body.List, cw)
-			seq = append(seq, inner...)
-			return false
+	sorted := make([][3]int, 0, len(keys))
+	for k := range keys {
+		sorted = append(sorted, k)
+	}
+	sort.Slice(sorted, func(i, j int) bool {
+		a, b := sorted[i], sorted[j]
+		for x := range a {
+			if a[x] != b[x] {
+				return a[x] < b[x]
+			}
 		}
-		return true
+		return false
 	})
-	return seq
-}
-
-func (c *seqChecker) callSeq(call *ast.CallExpr, cw *collectiveWalker) []string {
-	var seq []string
-	for _, a := range call.Args {
-		seq = append(seq, c.exprSeq(a, cw)...)
-	}
-	name := calleeName(call)
-	if _, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr); isSel && isCollectiveName(name) {
-		return append(seq, name)
-	}
-	if fd := c.resolveSeq(call); fd != nil {
-		return append(seq, c.fnSeq(fd)...)
-	}
-	return seq
-}
-
-func (c *seqChecker) resolveSeq(call *ast.CallExpr) *ast.FuncDecl {
-	if len(c.stack) >= maxInlineDepth {
-		return nil
-	}
-	w := &gwalker{ex: c.ex}
-	fd := w.resolve(call)
-	if fd == nil {
-		return nil
-	}
-	for _, f := range c.stack {
-		if f == fd {
-			return nil
+	for _, k := range sorted {
+		sends, recvs := r.sends[k], r.recvs[k]
+		switch {
+		case sends > recvs:
+			out = append(out, graphFinding(g, "unpaired-send",
+				"rank %d sends %d message(s) to rank %d with tag %d that no receive matches (unmatched message)",
+				k[0], sends-recvs, k[1], k[2]))
+		case recvs > sends:
+			out = append(out, graphFinding(g, "unpaired-recv",
+				"rank %d posts %d receive(s) from rank %d with tag %d that no send matches (unmatched receive)",
+				k[1], recvs-sends, k[0], k[2]))
 		}
 	}
-	return fd
+	return out
 }
 
-// isTerminalStmt recognises statements that end the enclosing path.
-func isTerminalStmt(s ast.Stmt) bool {
-	es, ok := s.(*ast.ExprStmt)
-	if !ok {
-		return false
-	}
-	call, ok := ast.Unparen(es.X).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	switch calleeName(call) {
-	case "panic", "Fatal", "Fatalf", "Exit":
-		return true
-	}
-	return false
-}
-
-func concat(a, b []string) []string {
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]string, 0, len(a)+len(b))
-	out = append(out, a...)
-	return append(out, b...)
-}
-
-func equalSeq(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// checkCollectives compares every rank's collective sequence with rank
+// 0's: a rank that skips or reorders one deadlocks the others, or pairs
+// unrelated reductions.
+func (r *recorder) checkCollectives(g *Graph) []Finding {
+	seqOf := func(l *rankLog) []string {
+		var seq []string
+		for _, ev := range l.events {
+			if ev.kind == "collective" {
+				seq = append(seq, ev.label)
+			}
 		}
+		return seq
 	}
-	return true
+	ref := seqOf(r.ranks[0])
+	var out []Finding
+	for _, l := range r.ranks[1:] {
+		seq := seqOf(l)
+		i := 0
+		for i < len(seq) && i < len(ref) && seq[i] == ref[i] {
+			i++
+		}
+		if i == len(seq) && i == len(ref) {
+			continue
+		}
+		at := func(s []string) string {
+			if i < len(s) {
+				return s[i]
+			}
+			return "nothing"
+		}
+		out = append(out, graphFinding(g, "collective-sequence",
+			"rank %d diverges from rank 0 at collective %d: %s where rank 0 issues %s (collective-mismatch deadlock)",
+			l.rank, i+1, at(seq), at(ref)))
+	}
+	return out
 }

@@ -1,51 +1,32 @@
 package analysis
 
 import (
-	"go/token"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// allProfiles extracts every driver graph from both applications and
-// evaluates it at its committed default points, by profile name.
+// allProfiles evaluates every recorded golden graph at its committed
+// worker counts, by profile name.
 func allProfiles(t *testing.T) map[string]*Profile {
 	t.Helper()
-	fset := token.NewFileSet()
-	pkgs, err := Load(fset, []string{
-		filepath.Join("..", "amr", "app"),
-		filepath.Join("..", "hydro"),
-	}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	graphs, findings := ExtractGraphs(pkgs)
-	for _, f := range findings {
-		t.Errorf("graph finding on the real tree: %s", f)
-	}
-	profiles := make(map[string]*Profile, len(graphs))
-	for _, g := range graphs {
-		points, ok := DefaultCostConfig(g.Driver)
-		if !ok {
-			t.Errorf("driver %s has no default cost configuration", g.Driver)
-		}
-		for _, cfg := range points {
-			p := ProfileGraph(g, cfg)
-			for _, w := range p.Warnings {
-				t.Errorf("profile %s: %s", p.Name, w)
-			}
+	graphs := goldenGraphs(t)
+	profiles := make(map[string]*Profile)
+	for _, r := range Goldens() {
+		for _, w := range r.Profiles {
+			p := ProfileGraph(graphs[r.Name], w)
+			p.Name = ProfileName(r.Name, w, len(r.Profiles) > 1)
 			profiles[p.Name] = p
 		}
 	}
 	return profiles
 }
 
-// TestGoldenPerfProfiles locks the static performance profiles of every
-// driver against the committed goldens, so any change to the task
-// structure, the //amr:par multiplicities or the cost presets shows up
-// as a reviewable perf diff. Refresh with:
+// TestGoldenPerfProfiles locks the performance profiles of every driver
+// against the committed goldens, so any change to the recorded task
+// structure shows up as a reviewable perf diff. Refresh with:
 //
-//	go run ./cmd/amrperf -update internal/analysis/testdata/golden/perf ./internal/amr/app ./internal/hydro
+//	go run ./cmd/amrperf -update internal/analysis/testdata/golden/perf
 func TestGoldenPerfProfiles(t *testing.T) {
 	profiles := allProfiles(t)
 	want := []string{"dataflow", "exchange", "loop-w16", "loop-w1",
@@ -72,10 +53,10 @@ func TestGoldenPerfProfiles(t *testing.T) {
 }
 
 // TestDataflowWidthBeatsForkJoin pins the paper's core claim in the
-// static model: on the same configuration, whole-DAG data-flow execution
-// exposes strictly more concurrency than fork-join's barrier-composed
-// regions, which in turn beat the same loop driver on the MPI-only rank's
-// one worker — for both applications.
+// model: on the same configuration, whole-DAG data-flow execution exposes
+// strictly more concurrency than fork-join's barrier-composed regions,
+// which in turn beat the same loop driver on the MPI-only rank's one
+// worker — for both applications.
 func TestDataflowWidthBeatsForkJoin(t *testing.T) {
 	profiles := allProfiles(t)
 	for _, app := range []struct{ df, fj, serial string }{
@@ -105,11 +86,11 @@ func TestDataflowWidthBeatsForkJoin(t *testing.T) {
 			t.Errorf("%s width %d / bound %v, want the serial rank's 1/1",
 				app.serial, serial.MaxWidth, serial.SpeedupBound)
 		}
-		// Same configuration, same per-rank traffic: the variants differ
-		// in scheduling, not in what they communicate.
-		if df.SendBytes != fj.SendBytes || fj.SendBytes != serial.SendBytes {
-			t.Errorf("send volumes diverge across variants: %d / %d / %d",
-				df.SendBytes, fj.SendBytes, serial.SendBytes)
+		// Same configuration, same messages: the variants differ in
+		// scheduling, not in what they communicate.
+		if df.Sends != fj.Sends || fj.Sends != serial.Sends || df.Collectives != fj.Collectives {
+			t.Errorf("communication diverges across variants: sends %d / %d / %d, collectives %d / %d",
+				df.Sends, fj.Sends, serial.Sends, df.Collectives, fj.Collectives)
 		}
 	}
 }

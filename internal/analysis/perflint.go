@@ -1,164 +1,80 @@
 package analysis
 
-// PerfLint is the needless-serialization layer of the suite: over the
-// same extracted driver graphs graphlint verifies, it flags constructs
-// that narrow the task DAG without buying correctness — dependence
-// structure whose removal would widen the graph. Extraction and
-// graph-invariant diagnostics stay graphlint's; perflint reports only
-// its own rules:
+import "fmt"
+
+// PerfLint flags dependence structure in a recorded task-bearing graph
+// that narrows it without buying correctness. Its rules keep the ids
+// perflint/<rule>:
 //
-//   - perf-needless-barrier: a dependency wait in a task-bearing graph
-//     that does not feed (or drain) a collective. Waits exist to funnel
-//     task results into a rank-wide operation; one with no adjacent
-//     collective is a pure barrier, serializing every predecessor
-//     against every successor.
-//   - perf-serial-funnel: a single-instance task wedged between
-//     parallel-annotated stages on both sides. All upstream instances
-//     must finish before it runs and all downstream instances wait for
+//   - perf-needless-barrier: a taskwait with no collective next to it in
+//     its phase. Waits exist to funnel task results into a rank-wide
+//     operation; one with no adjacent collective is a pure barrier,
+//     serializing every predecessor against every successor.
+//   - perf-serial-funnel: a task that runs once per phase with many
+//     instances of other tasks on both sides within the pass. All upstream
+//     instances must finish before it runs and all downstream ones wait for
 //     it, collapsing the graph to width 1 at that point.
-//   - perf-wide-key: a task-to-task dependence through a stage region
-//     whose //amr:region directive has no match fields. Every key of
-//     such a class conflicts with every other, so one logical
-//     dependence serializes all instance pairs — almost always an
-//     over-wide key that needs match= narrowed to its identifying
-//     fields.
-var PerfLint = &Analyzer{
-	Name: "perflint",
-	Doc: "needless-serialization findings over //amr:graph extracted " +
-		"driver graphs: barriers without collectives, serial funnels " +
-		"between parallel stages, and over-wide stage-region keys",
-	run: runPerfLint,
-}
-
-func runPerfLint(p *Pass) {
-	// Extract through a throwaway pass: malformed directives and graph
-	// invariants are graphlint findings, not perflint's.
-	var discard []Finding
-	sub := &Pass{Fset: p.Fset, Pkg: p.Pkg, analyzer: p.analyzer, findings: &discard}
-	ex := newExtractor(sub)
-	if len(ex.anchors) == 0 {
-		return
-	}
-	for _, g := range ex.graphs() {
-		lintGraph(p, ex, g)
-	}
-}
-
-func lintGraph(p *Pass, ex *extractor, g *Graph) {
+//   - perf-wide-key: instances of one task writing one stage region within
+//     a pass. Each such write waits for the one before, so one key stands
+//     for what should be one region per instance — almost always a region
+//     that needs the instance's own index.
+//
+// Loop-driver graphs serialize by construction; the cost model measures
+// them but perflint does not lint them.
+func PerfLint(g *Graph) []Finding {
 	if !hasTaskNodes(g) {
-		// Fork-join and MPI-only drivers serialize by construction;
-		// perflint measures them (amrperf) but does not lint them.
-		return
+		return nil
 	}
-	nodeByID := make(map[string]*Node, len(g.Nodes))
+	var out []Finding
+	report := func(rule, severity, format string, args ...any) {
+		out = append(out, Finding{Pos: g.pos(), Analyzer: "perflint", Rule: rule, Severity: severity,
+			Message: fmt.Sprintf(format, args...)})
+	}
+	byID := make(map[string]*Node, len(g.Nodes))
 	for _, n := range g.Nodes {
-		nodeByID[n.ID] = n
-	}
-	// wide marks nodes whose label carries a parallel //amr:par axis.
-	wide := make(map[string]bool)
-	annotated := make(map[string]bool)
-	for _, ps := range g.pars {
-		annotated[ps.Phase+"\x00"+ps.Label] = true
-		if !ps.Serial {
-			wide[ps.Phase+"\x00"+ps.Label] = true
-		}
+		byID[n.ID] = n
 	}
 
-	checkNeedlessBarriers(p, g, nodeByID)
-	checkSerialFunnels(p, g, nodeByID, wide, annotated)
-	checkWideKeys(p, ex, g, nodeByID)
-}
-
-// checkNeedlessBarriers flags wait nodes with no collective adjacent in
-// program order. A wait followed by (or finishing off) a collective is
-// the graph's reduction funnel; any other wait is a barrier whose
-// predecessors and successors could overlap if the dependence were
-// expressed per instance instead.
-func checkNeedlessBarriers(p *Pass, g *Graph, nodeByID map[string]*Node) {
+	funnels := make(map[string]bool)
+	for _, e := range g.Edges {
+		if e.Kind == "seq" {
+			funnels[e.From+"\x00"+byID[e.To].Kind] = true
+			funnels[e.To+"\x00"+byID[e.From].Kind] = true
+		}
+	}
 	for _, n := range g.Nodes {
-		if n.Kind != "wait" {
-			continue
-		}
-		funnels := false
-		for _, e := range g.Edges {
-			if e.Kind != "seq" {
-				continue
-			}
-			var peer *Node
-			switch n.ID {
-			case e.From:
-				peer = nodeByID[e.To]
-			case e.To:
-				peer = nodeByID[e.From]
-			}
-			if peer != nil && peer.Kind == "collective" {
-				funnels = true
-				break
-			}
-		}
-		if !funnels {
-			p.ReportRulef(n.pos, "perf-needless-barrier", "error",
+		if n.Kind == "wait" && !funnels[n.ID+"\x00collective"] {
+			report("perf-needless-barrier", "error",
 				"wait %s in phase %s reaches no collective: a pure barrier that serializes its predecessors against its successors",
 				n.Label, n.Phase)
 		}
 	}
-}
 
-// checkSerialFunnels flags single-instance tasks with parallel stages on
-// both sides. The dependence edges are real; the finding is that the
-// middle task runs once, so the whole graph narrows to width 1 there —
-// usually a reduction that wants an //amr:par axis (or a wait +
-// collective) instead.
-func checkSerialFunnels(p *Pass, g *Graph, nodeByID map[string]*Node, wide, annotated map[string]bool) {
-	depIn := make(map[string]bool)  // node <- wide predecessor
-	depOut := make(map[string]bool) // node -> wide successor
+	wideIn := make(map[string]bool)  // node <- many-instance task
+	wideOut := make(map[string]bool) // node -> many-instance task
 	for _, e := range g.Edges {
-		if e.Kind == "seq" {
+		if e.Carried || e.Kind == "seq" {
 			continue
 		}
-		from, to := nodeByID[e.From], nodeByID[e.To]
-		if from == nil || to == nil {
-			continue
+		if from := byID[e.From]; from.Kind == "task" && from.Count > 1 {
+			wideIn[e.To] = true
 		}
-		if from.Kind == "task" && wide[from.Phase+"\x00"+from.Label] {
-			depIn[e.To] = true
-		}
-		if to.Kind == "task" && wide[to.Phase+"\x00"+to.Label] {
-			depOut[e.From] = true
+		if to := byID[e.To]; to.Kind == "task" && to.Count > 1 {
+			wideOut[e.From] = true
 		}
 	}
 	for _, n := range g.Nodes {
-		if n.Kind != "task" || wide[n.Phase+"\x00"+n.Label] || annotated[n.Phase+"\x00"+n.Label] {
-			continue
-		}
-		if depIn[n.ID] && depOut[n.ID] {
-			p.ReportRulef(n.pos, "perf-serial-funnel", "warning",
+		if n.Kind == "task" && n.Count == 1 && wideIn[n.ID] && wideOut[n.ID] {
+			report("perf-serial-funnel", "warning",
 				"single-instance task %s in phase %s funnels parallel stages on both sides: the graph narrows to width 1 here",
 				n.Label, n.Phase)
 		}
 	}
-}
 
-// checkWideKeys flags task-to-task dependences through matchless stage
-// regions. With no match= fields every key of the class is the same
-// region, so any two tasks touching the class serialize pairwise.
-func checkWideKeys(p *Pass, ex *extractor, g *Graph, nodeByID map[string]*Node) {
-	reported := make(map[string]bool) // region class -> reported once per graph
-	for _, e := range g.Edges {
-		if e.Kind == "seq" || e.Region == "" || reported[e.Region] {
-			continue
-		}
-		info := ex.structs[e.Region]
-		if info == nil || info.region == nil || info.region.kind != "stage" || len(info.region.match) > 0 {
-			continue
-		}
-		from, to := nodeByID[e.From], nodeByID[e.To]
-		if from == nil || to == nil || from.Kind != "task" || to.Kind != "task" {
-			continue
-		}
-		reported[e.Region] = true
-		p.ReportRulef(to.pos, "perf-wide-key", "error",
-			"%s dependence %s -> %s through matchless stage region %s: every key of the class conflicts, serializing all instance pairs; narrow it with match=",
-			e.Kind, from.Label, to.Label, e.Region)
+	for _, w := range g.wide {
+		report("perf-wide-key", "error",
+			"instances of task %s write one %s region within a stage: each waits for the one before, serializing them; give every instance its own region",
+			w.label, w.class)
 	}
+	return out
 }

@@ -27,14 +27,14 @@ type GraphOptions struct {
 	// dependency races.
 	Sanitizer *sanitize.Sanitizer
 	// Observer, when non-nil, additionally receives the task graph's
-	// lifecycle events (teed with the sanitizer's observer). Used by the
-	// width-measurement harness to compare dynamic concurrency against
-	// the static model.
+	// lifecycle events (teed with the sanitizer's observer): a width meter,
+	// or the task-graph recorder, which is a StageObserver.
 	Observer task.Observer
 	// ScratchLen sizes the per-worker staging buffers.
 	ScratchLen int
 	// Describe, when non-nil, names one of the driver's regions in words for
-	// the sanitizer's reports; it is called only while one is being built.
+	// the sanitizer's reports and a StageObserver; the sanitizer calls it
+	// only while a report is being built.
 	Describe func(task.Region) string
 }
 
@@ -73,6 +73,9 @@ func NewGraphEngine(o GraphOptions) (*GraphEngine, error) {
 		opts.Observer = task.Tee(san, o.Observer)
 	} else {
 		opts.Observer = o.Observer
+	}
+	if so, ok := o.Observer.(StageObserver); ok && o.Describe != nil {
+		so.Names(o.Describe)
 	}
 	rt, err := task.NewRuntime(opts)
 	if err != nil {
@@ -144,6 +147,16 @@ func (g *GraphEngine) Merge(lists ...[]task.Access) []task.Access {
 		g.accs = append(g.accs, l...)
 	}
 	return g.accs[from:]
+}
+
+// ParFor is LoopEngine.ParFor on the task runtime, with the tasks' label in
+// front: body(i, w) for every i in [0, n) as independent tasks on worker w,
+// then a global taskwait.
+func (g *GraphEngine) ParFor(label string, n int, body func(i, w int)) {
+	for i := 0; i < n; i++ {
+		g.Spawn(label, func(t *task.Task) { body(i, t.Worker()) })
+	}
+	g.Wait()
 }
 
 // Wait blocks until every spawned task completed (a global taskwait).

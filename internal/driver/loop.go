@@ -1,6 +1,10 @@
 package driver
 
-import "time"
+import (
+	"time"
+
+	"miniamr/internal/task"
+)
 
 // Hooks is the variant-specific stage set plugged into the shared main
 // loop. An application implements Hooks once per variant; the loop is
@@ -32,6 +36,29 @@ type Hooks interface {
 	// Drain completes outstanding asynchronous work at the end of the run
 	// (including a pending delayed checksum validation).
 	Drain() error
+}
+
+// StageObserver is a task observer that follows its rank's driver too: the
+// stage hooks of the main loop and the names of the dependency regions the
+// graph engine's tasks declare. The task-graph recorder is one; a driver
+// hands it both through Observe and GraphOptions.
+type StageObserver interface {
+	task.Observer
+	// Stages wraps the rank's stage hooks; the main loop runs what it
+	// returns.
+	Stages(Hooks) Hooks
+	// Names receives the driver's region namer (GraphOptions.Describe) when
+	// a graph engine is built.
+	Names(func(task.Region) string)
+}
+
+// Observe returns the hooks a rank's main loop runs: h, wrapped by obs
+// when obs is a StageObserver.
+func Observe(h Hooks, obs task.Observer) Hooks {
+	if so, ok := obs.(StageObserver); ok {
+		return so.Stages(h)
+	}
+	return h
 }
 
 // Loop is the shared main-loop schedule. The zero value of the optional

@@ -11,8 +11,10 @@ package driver_test
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
+	"miniamr/internal/analysis"
 	"miniamr/internal/cluster"
 	"miniamr/internal/driver"
 	"miniamr/internal/harness"
@@ -179,10 +181,26 @@ func (d *toyLoopDriver) Drain() error              { return nil }
 
 // toyDataFlow taskifies the stages on the GraphEngine. Its four dependency
 // regions are reserved once: ghost cell 0, ghost cell 1, the cells, the sum.
+// defect, when set, seeds one task-graph defect (see seedDefect).
 type toyDataFlow struct {
 	s       *toyState
 	g       *driver.GraphEngine
 	regions task.Region
+	defect  string
+}
+
+// describe names the toy's regions; regions a seeded defect reserves on the
+// fly are scratch.
+func (d *toyDataFlow) describe(r task.Region) string {
+	switch i := int(r - d.regions); i {
+	case 0, 1:
+		return fmt.Sprintf("ghost %d", i)
+	case 2:
+		return "cells"
+	case 3:
+		return "sum"
+	}
+	return fmt.Sprintf("scratch %d", r.Index())
 }
 
 func (d *toyDataFlow) ghost(side int) task.Region { return d.regions + task.Region(side) }
@@ -199,13 +217,17 @@ func (d *toyDataFlow) Communicate(_, _, _ int) error {
 		buf := s.plans.RecvBuf(i)[:1]
 		// Iwait never blocks: it defers the task's completion (and so the
 		// release of the ghost key) until the message lands in buf.
+		out := d.g.Out(d.ghost(side))
+		if d.defect == "orphan-read" {
+			out = nil // the sweep reads a ghost nobody writes
+		}
 		d.g.Spawn("recv", func(t *task.Task) {
 			req, err := s.comm.Irecv(buf, peer, tag)
 			if err != nil {
 				panic(err)
 			}
 			d.g.X.Iwait(t, req)
-		}, d.g.Out(d.ghost(side))...)
+		}, out...)
 	}
 	for i := range s.plans.SendPlans {
 		pl := &s.plans.SendPlans[i]
@@ -217,6 +239,19 @@ func (d *toyDataFlow) Communicate(_, _, _ int) error {
 				panic(err)
 			}
 		}, d.g.In(d.cells())...)
+	}
+	switch d.defect {
+	case "unpaired-send":
+		// A message nobody receives, on a tag of its own.
+		lease := s.arena.LeaseFloat64(1)
+		if _, err := s.comm.IsendOwned(lease, s.plans.SendPlans[0].Peer, 7); err != nil {
+			return err
+		}
+	case "unpaired-recv":
+		// A receive nobody sends to, never waited for.
+		if _, err := s.comm.Irecv(make([]float64, 1), s.plans.RecvPlans[0].Peer, 7); err != nil {
+			return err
+		}
 	}
 	return d.g.X.Err()
 }
@@ -233,7 +268,42 @@ func (d *toyDataFlow) Compute(_, _, _ int) error {
 		d.g.In(d.ghost(0), d.ghost(1)),
 		d.g.InOut(d.cells()),
 	)...)
+	d.seedDefect()
 	return nil
+}
+
+// seedDefect adds the compute stage's seeded defect: tasks with no work
+// whose declarations break one rule of graphlint or perflint, on scratch
+// regions reserved for the stage.
+func (d *toyDataFlow) seedDefect() {
+	nop := func(*task.Task) {}
+	switch d.defect {
+	case "needless-barrier":
+		d.g.WaitKeys(d.cells()) // no collective follows
+	case "serial-funnel":
+		r := d.g.Reserve(5)
+		for i := 0; i < 4; i++ {
+			d.g.Spawn("scatter", nop, d.g.Out(r+task.Region(i))...)
+		}
+		d.g.Spawn("funnel", nop, d.g.Merge(d.g.In(r, r+1, r+2, r+3), d.g.Out(r+4))...)
+		for i := 0; i < 4; i++ {
+			d.g.Spawn("gather", nop, d.g.In(r+4)...)
+		}
+	case "wide-key":
+		r := d.g.Reserve(1)
+		d.g.Spawn("zero", nop, d.g.Out(r)...)
+		for i := 0; i < 2; i++ {
+			d.g.Spawn("partial", nop, d.g.InOut(r)...) // one region for both partials
+		}
+		d.g.Spawn("total", nop, d.g.In(r)...)
+	case "cycle":
+		// Label a precedes b and b precedes a within one stage.
+		r := d.g.Reserve(3)
+		d.g.Spawn("a", nop, d.g.Out(r)...)
+		d.g.Spawn("b", nop, d.g.Merge(d.g.In(r), d.g.Out(r+1))...)
+		d.g.Spawn("b", nop, d.g.Merge(d.g.In(r), d.g.Out(r+2))...)
+		d.g.Spawn("a", nop, d.g.In(r+1, r+2)...)
+	}
 }
 
 func (d *toyDataFlow) Checksum(int) error {
@@ -242,7 +312,11 @@ func (d *toyDataFlow) Checksum(int) error {
 	d.g.Spawn("cksum", func(*task.Task) {
 		slot[0] = s.localSum()
 	}, d.g.Merge(d.g.In(d.cells()), d.g.Out(d.sum()))...)
-	d.g.WaitKeys(d.sum())
+	if d.defect == "dead-write" {
+		d.g.Wait() // drains the sum without reading its region
+	} else {
+		d.g.WaitKeys(d.sum())
+	}
 	if err := d.g.X.Err(); err != nil {
 		return err
 	}
@@ -250,7 +324,11 @@ func (d *toyDataFlow) Checksum(int) error {
 	s.arena.PutFloat64(slot)
 	local := s.arena.GetFloat64(1)
 	local[0] = sum
-	global, err := s.comm.AllreduceFloat64(local, mpi.Sum)
+	op := mpi.Sum
+	if d.defect == "collective-sequence" && s.comm.Rank() == 1 {
+		op = mpi.Max // rank 0 reduces, so only the recorded sequence differs
+	}
+	global, err := s.comm.AllreduceFloat64(local, op)
 	s.arena.PutFloat64(local)
 	if err != nil {
 		return err
@@ -270,14 +348,23 @@ func (d *toyDataFlow) Drain() error {
 	return d.g.X.Err()
 }
 
-// toyJob packages the toy app as a driver.Job.
-type toyJob struct{}
+// toyJob packages the toy app as a driver.Job. observe, when set, yields
+// the ranks' task observers; defect seeds a task-graph defect into the
+// data-flow driver.
+type toyJob struct {
+	observe func(rank int) task.Observer
+	defect  string
+}
 
 func (toyJob) App() string { return "toy" }
 
-func (toyJob) Bind(v driver.Variant, workers int, _ *sanitize.Sanitizer) (driver.Program, error) {
+func (j toyJob) Bind(v driver.Variant, workers int, _ *sanitize.Sanitizer) (driver.Program, error) {
 	return func(c *mpi.Comm, _ *trace.Recorder) (driver.Result, error) {
 		s := newToyState(c)
+		var obs task.Observer
+		if j.observe != nil {
+			obs = j.observe(c.Rank())
+		}
 		var h driver.Hooks
 		var cleanup func()
 		switch v {
@@ -289,16 +376,20 @@ func (toyJob) Bind(v driver.Variant, workers int, _ *sanitize.Sanitizer) (driver
 			h = &toyLoopDriver{s: s, eng: eng}
 			cleanup = eng.Close
 		case driver.DataFlow:
-			g, err := driver.NewGraphEngine(driver.GraphOptions{Comm: c, Workers: workers, ScratchLen: 1})
+			d := &toyDataFlow{s: s, defect: j.defect}
+			g, err := driver.NewGraphEngine(driver.GraphOptions{
+				Comm: c, Workers: workers, ScratchLen: 1, Observer: obs, Describe: d.describe,
+			})
 			if err != nil {
 				return driver.Result{}, err
 			}
-			h = &toyDataFlow{s: s, g: g, regions: g.Reserve(4)}
+			d.g, d.regions = g, g.Reserve(4)
+			h = d
 			cleanup = g.Close
 		default:
 			return driver.Result{}, fmt.Errorf("toy: unknown variant %q", v)
 		}
-		if _, err := toyLoop().Run(h); err != nil {
+		if _, err := toyLoop().Run(driver.Observe(h, obs)); err != nil {
 			return driver.Result{}, err
 		}
 		cleanup()
@@ -365,5 +456,51 @@ func TestToyAppArenaClean(t *testing.T) {
 	st := w.Arena().Stats()
 	if st.Live != 0 || st.LeasesLive != 0 || st.Gets != st.Puts {
 		t.Fatalf("arena not clean after toy run: %+v", st)
+	}
+}
+
+// recordToy records the toy data-flow driver's graph with one seeded
+// defect ("" for none).
+func recordToy(t *testing.T, defect string) (*analysis.Graph, []analysis.Finding) {
+	t.Helper()
+	g, findings, err := analysis.Record(analysis.Recording{
+		Name: "toy", App: "toy", Variant: driver.DataFlow, Ranks: 3, Workers: 2,
+		Job: func(observe func(int) task.Observer) driver.Job { return toyJob{observe: observe, defect: defect} },
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", defect, err)
+	}
+	return g, append(findings, analysis.PerfLint(g)...)
+}
+
+// TestToySeededGraphDefects seeds one defect per graphlint and perflint
+// rule into the toy's data-flow driver: each recorded graph must trip its
+// rule under the rule's stable id, and the toy without a defect must
+// record clean.
+func TestToySeededGraphDefects(t *testing.T) {
+	if _, findings := recordToy(t, ""); len(findings) > 0 {
+		t.Errorf("clean toy records findings: %v", findings)
+	}
+	for defect, id := range map[string]string{
+		"cycle":               "graphlint/cycle",
+		"orphan-read":         "graphlint/orphan-read",
+		"dead-write":          "graphlint/dead-write",
+		"unpaired-send":       "graphlint/unpaired-send",
+		"unpaired-recv":       "graphlint/unpaired-recv",
+		"collective-sequence": "graphlint/collective-sequence",
+		"needless-barrier":    "perflint/perf-needless-barrier",
+		"serial-funnel":       "perflint/perf-serial-funnel",
+		"wide-key":            "perflint/perf-wide-key",
+	} {
+		t.Run(defect, func(t *testing.T) {
+			_, findings := recordToy(t, defect)
+			var ids []string
+			for _, f := range findings {
+				ids = append(ids, f.ID())
+			}
+			if !slices.Contains(ids, id) {
+				t.Errorf("seeded %s: findings %v, want one %s", defect, findings, id)
+			}
+		})
 	}
 }

@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"go/token"
-	"path/filepath"
 	"testing"
 
 	"miniamr/internal/analysis"
@@ -12,72 +10,62 @@ import (
 	"miniamr/internal/task"
 )
 
-// TestDynamicWidthWithinStaticModel cross-checks perflint's static cost
-// model against a real execution: a task.WidthMeter records the dynamic
-// ready-set high-water mark of a HYDRO data-flow run.
+// TestDynamicWidthWithinStaticModel cross-checks perflint's cost model
+// against a real execution: a task.WidthMeter records the dynamic
+// ready-set high-water mark of a HYDRO data-flow run, and the model
+// evaluates the graph recorded at the same configuration.
 //
-// Two properties tie the model to reality. Upward: the per-stage ready
-// set can never exceed the static max-width antichain, so the dynamic
-// high-water must stay at or below the model's MaxWidth. Downward: the
-// CFL scan spawns one heavy task per owned tile with no dependencies
-// between them, so all of them are ready before the first one finishes —
-// the meter must observe at least the full tiles-axis width, which
-// exceeds the worker count. That surplus of ready work over cores is
-// exactly the slack the data-flow scheduler exploits and the serial
-// variant (static width 1) forgoes.
+// Two properties tie the model to reality. Upward: the ready set is an
+// antichain of the dependence DAG, so the dynamic high-water must stay at
+// or below the model's MaxWidth. Downward: the CFL scan spawns one heavy
+// task per owned tile with no dependencies between them, so all of them
+// are ready before the first one finishes — the meter must observe at
+// least that many, which exceeds the worker count. That surplus of ready
+// work over cores is exactly the slack the data-flow scheduler exploits
+// and the serial variant (width 1) forgoes.
 //
 // The measurement is a lower bound on the true concurrency: cheap tasks
 // (ghost copies) are consumed as fast as the main goroutine can spawn
 // them, so the meter does not see the model's full cross-phase antichain.
-// The dataflow-beats-forkjoin comparison on static widths lives in
+// The dataflow-beats-forkjoin comparison of the models lives in
 // internal/analysis (TestDataflowWidthBeatsForkJoin).
 func TestDynamicWidthWithinStaticModel(t *testing.T) {
-	// Static side: extract the hydro-dataflow DAG from source and
-	// evaluate it at this test's run configuration.
-	fset := token.NewFileSet()
-	pkgs, err := analysis.Load(fset, []string{filepath.Join("..", "hydro")}, false)
+	const workers = 4
+	cfg := hydro.Config{
+		NX: 128, NY: 128, TilesX: 4, TilesY: 4,
+		Timesteps: 6, ChecksumEvery: 4,
+	}
+
+	// Model side: the graph recorded at this configuration.
+	g, findings, err := analysis.Record(analysis.Recording{
+		Name: "hydro-dataflow", App: "hydro", Variant: driver.DataFlow, Ranks: 2, Workers: workers,
+		Job: func(observe func(int) task.Observer) driver.Job {
+			c := cfg
+			c.TaskObserver = observe
+			return hydro.Job(c)
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	graphs, findings := analysis.ExtractGraphs(pkgs)
 	for _, f := range findings {
-		t.Fatalf("graph finding on the real tree: %s", f)
+		t.Errorf("graph finding: %s", f)
 	}
-	var df *analysis.Graph
-	for _, g := range graphs {
-		if g.Driver == "hydro-dataflow" {
-			df = g
-		}
-	}
-	if df == nil {
-		t.Fatal("no hydro-dataflow graph extracted")
-	}
-	// The run below decomposes a 4x4 tiling over 2 ranks in contiguous
-	// rows, so each rank owns 8 tiles (2 rows of 4). Per direction that
-	// gives: X — every high-neighbour pair is rank-local (4 ring pairs
-	// per row x 2 rows x 2 copies = 16 local copies, no messages); Y —
-	// the two cut rows fold into one aggregated message per rank (8
-	// segments: 4 up plus 4 wrap-around) and the interior row pair makes
-	// 8 local copies. The static phase models one generic stage, so each
-	// axis takes its per-stage maximum.
-	const workers = 4
-	axes := map[string]int{"tiles": 8, "msgs": 1, "segs": 8, "locals": 16}
-	static := analysis.ProfileGraph(df, analysis.CostConfig{Workers: workers, Axes: axes})
-	for _, w := range static.Warnings {
-		t.Fatalf("static profile warning: %s", w)
-	}
+	static := analysis.ProfileGraph(g, workers)
 	if static.Mode != "dataflow" {
 		t.Fatalf("static mode = %q, want dataflow", static.Mode)
+	}
+	scans := 0
+	for _, n := range g.Nodes {
+		if n.Label == "cfl-scan" {
+			scans = n.Count
+		}
 	}
 
 	// Dynamic side: run the data-flow variant with a width meter on
 	// every rank.
 	meters := []*task.WidthMeter{task.NewWidthMeter(), task.NewWidthMeter()}
-	cfg := hydro.Config{
-		NX: 128, NY: 128, TilesX: 4, TilesY: 4,
-		Timesteps: 6, ChecksumEvery: 4,
-		TaskObserver: func(rank int) task.Observer { return meters[rank] },
-	}
+	cfg.TaskObserver = func(rank int) task.Observer { return meters[rank] }
 	if _, err := Run(RunSpec{
 		Nodes: 2, RanksPerNode: 1, CoresPerRank: workers,
 		Net: simnet.None(), Job: hydro.Job(cfg), Variant: driver.DataFlow,
@@ -87,7 +75,7 @@ func TestDynamicWidthWithinStaticModel(t *testing.T) {
 
 	hwm := 0
 	for rank, m := range meters {
-		t.Logf("rank %d: %d tasks, ready-set high-water %d (static max width %d)",
+		t.Logf("rank %d: %d tasks, ready-set high-water %d (model max width %d)",
 			rank, m.Spawned(), m.HighWater(), static.MaxWidth)
 		if m.Spawned() == 0 {
 			t.Errorf("rank %d: width meter saw no tasks — observer not plumbed through", rank)
@@ -97,11 +85,11 @@ func TestDynamicWidthWithinStaticModel(t *testing.T) {
 		}
 	}
 	if hwm > static.MaxWidth {
-		t.Errorf("dynamic ready-set high-water %d exceeds the static max width %d", hwm, static.MaxWidth)
+		t.Errorf("dynamic ready-set high-water %d exceeds the model's max width %d", hwm, static.MaxWidth)
 	}
-	if hwm < axes["tiles"] {
-		t.Errorf("dynamic ready-set high-water %d below the tiles-axis width %d — "+
-			"the CFL scan's predicted concurrency was not realized", hwm, axes["tiles"])
+	if hwm < scans {
+		t.Errorf("dynamic ready-set high-water %d below the %d CFL scans of a step — "+
+			"the scan's recorded concurrency was not realized", hwm, scans)
 	}
 	if hwm <= workers {
 		t.Errorf("dynamic ready-set high-water %d does not exceed the %d workers — "+

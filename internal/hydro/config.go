@@ -54,8 +54,10 @@ type Config struct {
 	// encoding of multi-process runs.
 	Sanitizer *sanitize.Sanitizer `json:"-"`
 	// TaskObserver, when non-nil, yields a per-rank task lifecycle
-	// observer for the data-flow variant (teed with the sanitizer's).
-	// Used to measure dynamic concurrency, e.g. with task.NewWidthMeter.
+	// observer, asked for once per rank: the data-flow variant tees it with
+	// the sanitizer's (e.g. a task.NewWidthMeter measuring dynamic
+	// concurrency), and every variant passes its stage hooks through it
+	// when it is a driver.StageObserver (the task-graph recorder).
 	// Runtime-only, like Sanitizer.
 	TaskObserver func(rank int) task.Observer `json:"-"`
 	// BlockingTAMPI uses blocking TAMPI operations in communication tasks

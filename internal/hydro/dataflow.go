@@ -84,28 +84,24 @@ type unpackJob struct {
 // unpack -> sweep -> pack across stages. A rank's tiles are a contiguous
 // range of ids.
 //
-//amr:region state
 //amr:hot allocs=0
 func (d *dfDriver) tile(t int) task.Region { return d.tiles + task.Region(t-d.s.tiles[0]) }
 
 // wave is tile t's CFL wave-speed contribution slot, written once per
 // timestep and drained by the reduction's taskwait.
 //
-//amr:region stage
 //amr:hot allocs=0
 func (d *dfDriver) wave(t int) task.Region { return d.waves + task.Region(t-d.s.tiles[0]) }
 
 // sum is tile t's checksum accumulator slot, written once per checksum
 // stage and drained by the validation's taskwait.
 //
-//amr:region stage
 //amr:hot allocs=0
 func (d *dfDriver) sum(t int) task.Region { return d.sums + task.Region(t-d.s.tiles[0]) }
 
 // section is segment idx's section of the buffer of message pl. Sections
 // are per-stage: produced, consumed once, recycled.
 //
-//amr:region stage match=pl,idx
 //amr:hot allocs=0
 func section(pl *driver.Plan[seg], idx int) task.Region { return pl.Sec + task.Region(idx) }
 
@@ -113,7 +109,7 @@ func section(pl *driver.Plan[seg], idx int) task.Region { return pl.Sec + task.R
 func (d *dfDriver) describe(r task.Region) string {
 	s, n := d.s, len(d.s.tiles)
 	if i := int(r) - int(d.tiles); i >= 0 && i < 3*n {
-		return fmt.Sprintf("%s of tile %d", [3]string{"state", "wave slot", "sum slot"}[i/n], s.tiles[i%n])
+		return fmt.Sprintf("%s %d", [3]string{"tile", "wave", "sum"}[i/n], s.tiles[i%n])
 	}
 	for dir := range s.plans {
 		for way, plans := range [2][]driver.Plan[seg]{s.plans[dir].RecvPlans, s.plans[dir].SendPlans} {
@@ -132,9 +128,6 @@ func (d *dfDriver) describe(r task.Region) string {
 // slots and the global max on the main goroutine. The taskwait
 // transitively drains every tile writer of the previous stage, so the
 // following s.dt update never races a sweep.
-//
-//amr:graph driver=hydro-dataflow phase=timestep seq=1
-//amr:par label=cfl-scan axis=tiles
 func (d *dfDriver) BeginStep(ts int) error {
 	s := d.s
 	waves := d.regs[:0]
@@ -169,13 +162,6 @@ func (d *dfDriver) BeginStep(ts int) error {
 // binding the request, pack tasks per segment, send tasks with
 // multidependencies on the packed sections, local copy tasks, and unpack
 // tasks fed by the receive's buffer sections.
-//
-//amr:graph driver=hydro-dataflow phase=communicate seq=2
-//amr:par label=recv axis=msgs
-//amr:par label=pack axis=segs
-//amr:par label=send axis=msgs
-//amr:par label=local-copy axis=locals
-//amr:par label=unpack axis=msgs
 func (d *dfDriver) Communicate(stage, g0, g1 int) error {
 	s := d.s
 	dir := stage - 1
@@ -311,9 +297,6 @@ func (d *dfDriver) Communicate(stage, g0, g1 int) error {
 
 // Compute spawns one sweep task per tile, depending in-out on the tile so
 // it naturally follows the ghost fills.
-//
-//amr:graph driver=hydro-dataflow phase=sweep seq=3
-//amr:par label=sweep axis=tiles
 func (d *dfDriver) Compute(stage, g0, g1 int) error {
 	s := d.s
 	dir := stage - 1
@@ -334,9 +317,6 @@ func (d *dfDriver) Compute(stage, g0, g1 int) error {
 // Checksum spawns per-tile reduction tasks into sum slots, closes them
 // with a taskwait with dependencies, and validates the global reduction
 // on the main goroutine.
-//
-//amr:graph driver=hydro-dataflow phase=checksum seq=4
-//amr:par label=cksum-local axis=tiles
 func (d *dfDriver) Checksum(int) error {
 	s := d.s
 	sums := d.regs[:0]

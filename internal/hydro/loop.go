@@ -49,9 +49,6 @@ func newLoopDriver(s *state, workers int) *loopDriver {
 // BeginStep scans the owned tiles for the maximum wave speed in one
 // region and resolves the CFL timestep on the master. A maximum is
 // order-independent, so the fold stays bit-deterministic.
-//
-//amr:graph driver=hydro-loop phase=timestep seq=1
-//amr:par label=cfl-scan axis=tiles
 func (d *loopDriver) BeginStep(ts int) error {
 	s := d.s
 	d.eng.ParFor(len(s.tiles), d.scanWaves)
@@ -80,13 +77,6 @@ func (d *loopDriver) addSections(segs []seg, buf []float64) {
 
 // Communicate exchanges the stage direction's ghost edges: the master
 // posts receives and sends, regions pack, copy and unpack.
-//
-//amr:graph driver=hydro-loop phase=communicate seq=2
-//amr:par label=Irecv axis=msgs serial
-//amr:par label=IsendOwned axis=msgs serial
-//amr:par label=pack axis=segs
-//amr:par label=local-copy axis=locals
-//amr:par label=unpack axis=segs
 func (d *loopDriver) Communicate(stage, g0, g1 int) error {
 	s := d.s
 	dir := stage - 1
@@ -167,9 +157,6 @@ func (d *loopDriver) unpackSeg(i, w int) {
 
 // Compute sweeps the owned tiles in one region; tiles only touch their own
 // storage, so it is race-free.
-//
-//amr:graph driver=hydro-loop phase=sweep seq=3
-//amr:par label=sweep axis=tiles
 func (d *loopDriver) Compute(stage, g0, g1 int) error {
 	s := d.s
 	d.dir = stage - 1
@@ -188,9 +175,6 @@ func (d *loopDriver) sweepTile(i, w int) {
 
 // Checksum reduces per-tile sums in one region and combines them in tile
 // order on the master.
-//
-//amr:graph driver=hydro-loop phase=checksum seq=4
-//amr:par label=cksum-local axis=tiles
 func (d *loopDriver) Checksum(int) error {
 	s := d.s
 	d.eng.ParFor(len(s.tiles), d.sumTiles)

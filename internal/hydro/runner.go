@@ -61,7 +61,11 @@ func runLoop(cfg Config, workers int, c *mpi.Comm, rec *trace.Recorder) (Result,
 	}
 	d := newLoopDriver(newState(&cfg, c, rec), workers)
 	defer d.eng.ClosePool()
-	res, err := runMain(d.s, d)
+	var obs task.Observer
+	if cfg.TaskObserver != nil {
+		obs = cfg.TaskObserver(c.Rank())
+	}
+	res, err := runMain(d.s, driver.Observe(d, obs))
 	if err != nil {
 		return Result{}, err
 	}
@@ -95,7 +99,7 @@ func RunDataFlow(cfg Config, c *mpi.Comm, rec *trace.Recorder) (Result, error) {
 		return Result{}, err
 	}
 	d.reserve(g)
-	res, err := runMain(s, d)
+	res, err := runMain(s, driver.Observe(d, obs))
 	if err != nil {
 		return Result{}, err
 	}

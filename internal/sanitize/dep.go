@@ -112,8 +112,12 @@ func (ds *DepSanitizer) name(key any) string {
 	return fmt.Sprintf("region %d", r.Index())
 }
 
-// TaskSpawned implements task.Observer.
+// TaskSpawned implements task.Observer. A taskwait (id 0) runs no body, so
+// it has nothing to check.
 func (ds *DepSanitizer) TaskSpawned(id uint64, label string, accs []task.Access) {
+	if id == 0 {
+		return
+	}
 	ds.mu.Lock()
 	ds.seq++
 	ds.tasks[id] = &taskRec{label: label, declared: slices.Clone(accs), birthSeq: ds.seq}

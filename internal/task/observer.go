@@ -7,7 +7,9 @@ package task
 // an observer pays one pointer check per event and nothing else.
 //
 // Task ids are positive and unique within one Runtime, in spawn order.
-// WaitAccess pseudo-tasks carry no id and are never reported.
+// A WaitAccess (taskwait with dependencies) is reported as TaskSpawned with
+// id 0, label "taskwait" and its accesses as the caller passed them, and
+// nothing else: it has no edges of its own and never finishes as a task.
 type Observer interface {
 	// TaskSpawned fires when Spawn registers a task, before any of its
 	// dependence edges. Every access carries its region's handle; one that

@@ -428,6 +428,9 @@ func (rt *Runtime) WaitAccess(accs ...Access) {
 		rt.mu.Unlock()
 		panic(msg)
 	}
+	if rt.obs != nil {
+		rt.obs.TaskSpawned(0, "taskwait", accs)
+	}
 	for i := range accs {
 		a := &accs[i]
 		r := a.Region

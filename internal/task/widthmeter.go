@@ -7,9 +7,10 @@ import "slices"
 // predecessors have all finished but which have not themselves finished,
 // i.e. everything the scheduler could legally run at one instant. The
 // ready set is always an antichain of the dependence DAG, so the
-// high-water mark is the empirical counterpart of the static model's
-// MaxWidth (see internal/analysis' cost model) and must stay at or below
-// it when the model's instance counts match the run.
+// high-water mark is the empirical counterpart of the cost model's
+// MaxWidth (internal/analysis) and must stay at or below the MaxWidth of
+// the graph recorded at the same configuration. A taskwait, reported with
+// id 0, is not a task and is not counted.
 //
 // Callbacks arrive serialised under the runtime's lock, so the meter needs
 // no lock of its own; read the results only after Wait or Shutdown returned.
@@ -18,7 +19,7 @@ import "slices"
 // spawns: a task's edges arrive immediately after its spawn under the
 // same lock hold, so sampling at spawn would briefly count a dependent
 // task as ready. The measurement is therefore a lower bound on the true
-// ready-set maximum — safe on both sides of the static comparison.
+// ready-set maximum — safe on both sides of the model comparison.
 type WidthMeter struct {
 	pending map[uint64]int      // task -> unfinished predecessor count
 	succs   map[uint64][]uint64 // finished-notification fan-out
@@ -35,6 +36,9 @@ func NewWidthMeter() *WidthMeter {
 
 // TaskSpawned implements Observer.
 func (m *WidthMeter) TaskSpawned(id uint64, label string, accs []Access) {
+	if id == 0 {
+		return
+	}
 	m.pending[id] = 0
 	m.ready++
 	m.spawned++
