@@ -52,3 +52,30 @@ func TestPoolExchangeAllocsDoNotGrowWithTransfers(t *testing.T) {
 			large, small)
 	}
 }
+
+// TestDataFlowAllocsDoNotGrowWithBlocks guards the data-flow spawn path:
+// task bodies are recycled job records and TAMPI recycles its bindings, so a
+// drained round of the steady-state stages allocates a count that does not
+// grow with the blocks, eight times as many here. With a closure per spawn
+// it grew by one object per task, hundreds per round; the slack of a
+// quarter is the free lists' high water, which a round may still raise now
+// and then.
+func TestDataFlowAllocsDoNotGrowWithBlocks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation baseline needs steady-state iterations")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation perturbs allocation counts")
+	}
+	allocs := func(root [3]int) int64 {
+		cfg := testConfig()
+		cfg.RootBlocks = root
+		return testing.Benchmark(func(b *testing.B) { benchDataFlowStages(b, cfg, 2) }).AllocsPerOp()
+	}
+	small, large := allocs([3]int{4, 4, 2}), allocs([3]int{8, 8, 4})
+	t.Logf("data-flow stage allocs/op: %d on 32 blocks, %d on 256", small, large)
+	if large > small+small/4 {
+		t.Errorf("data-flow stage allocs/op = %d on 256 blocks, %d on 32: they grow with the blocks",
+			large, small)
+	}
+}

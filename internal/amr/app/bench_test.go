@@ -77,3 +77,66 @@ func TestArenaLeakFree(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkDataFlowStages measures one round of the data-flow driver's
+// steady-state stages over the test mesh: ghost exchange, stencil and
+// checksum, drained. The allocs/op figure is what spawning costs the heap.
+func BenchmarkDataFlowStages(b *testing.B) { benchDataFlowStages(b, testConfig(), 2) }
+
+// benchDataFlowStages is the benchmark body, shared with the allocation
+// guard in alloc_guard_test.go: b.N drained rounds of Communicate, Compute
+// and Checksum by the data-flow driver on the configuration's unrefined root
+// mesh, counted after warm-up rounds that fill the free lists of the task
+// records, job records and bindings.
+func benchDataFlowStages(b *testing.B, cfg Config, ranks int) {
+	b.ReportAllocs()
+	w := mpi.NewWorld(cluster.MustNew(1, ranks, 1), simnet.None())
+	done := make(chan error, 1)
+	go func() {
+		done <- w.Run(func(c *mpi.Comm) {
+			d, err := newDataFlowDriver(&cfg, c, nil)
+			if err != nil {
+				panic(err)
+			}
+			round := func() {
+				if err := d.Communicate(1, 0, cfg.CommVars); err != nil {
+					panic(err)
+				}
+				if err := d.Compute(1, 0, cfg.CommVars); err != nil {
+					panic(err)
+				}
+				if err := d.Checksum(1); err != nil {
+					panic(err)
+				}
+				d.g.Wait()
+			}
+			for i := 0; i < 5; i++ {
+				round()
+			}
+			timed(c, b.ResetTimer)
+			for i := 0; i < b.N; i++ {
+				round()
+			}
+			timed(c, b.StopTimer)
+			d.g.Close()
+			d.s.close()
+		})
+	}()
+	if err := <-done; err != nil {
+		b.Fatal(err)
+	}
+}
+
+// timed runs a timer call of the benchmark on rank 0 while every rank waits
+// between two barriers, so no rank's work straddles it.
+func timed(c *mpi.Comm, call func()) {
+	if err := c.Barrier(); err != nil {
+		panic(err)
+	}
+	if c.Rank() == 0 {
+		call()
+	}
+	if err := c.Barrier(); err != nil {
+		panic(err)
+	}
+}

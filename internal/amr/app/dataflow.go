@@ -3,7 +3,6 @@ package app
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"miniamr/internal/amr/comm"
 	"miniamr/internal/amr/grid"
@@ -48,6 +47,8 @@ func newDataFlowDriver(cfg *Config, c *mpi.Comm, rec *trace.Recorder) (*dataFlow
 		obs = cfg.TaskObserver(c.Rank())
 	}
 	d := &dataFlowDriver{s: s, obs: obs, groups: len(cfg.Groups())}
+	d.packJobs, d.unpackJobs, d.fillJobs = driver.NewJobs(d.pack), driver.NewJobs(d.unpack), driver.NewJobs(d.fillBlock)
+	d.stencilJobs, d.sumJobs = driver.NewJobs(d.stencil), driver.NewJobs(d.sumBlock)
 	d.g, err = driver.NewGraphEngine(driver.GraphOptions{
 		Comm:                      c,
 		Recorder:                  rec,
@@ -75,8 +76,11 @@ type dataFlowDriver struct {
 	// unpacks is communicate's list of pending unpack tasks; regs is the
 	// multidependency list of the task being spawned, which In copies. Both
 	// are kept for their storage.
-	unpacks []unpackJob
+	unpacks []args
 	regs    []task.Region
+
+	// The recycled job records of the steady-state task kinds.
+	packJobs, unpackJobs, fillJobs, stencilJobs, sumJobs *driver.Jobs[args]
 
 	// What the driver derives from the mesh, valid for the state epoch
 	// planned (see plan) and never written within it, so task bodies may read
@@ -104,14 +108,15 @@ type dataFlowDriver struct {
 	pending [2]bool
 }
 
-// unpackJob is one received transfer waiting for its unpack task: the
-// block it fills, and the section of the receive buffer it reads with that
-// section's region.
-type unpackJob struct {
-	tr  comm.Transfer
-	own int
-	sec []float64
-	key task.Region
+// args is a task's arguments: owned block i (a fill's: entry i of the fill
+// plan) in variables g0..g1; a pack's or unpack's transfer tr with its
+// message section sec and that section's region; a checksum's slot and its
+// parity.
+type args struct {
+	i, g0, g1, par int
+	tr             comm.Transfer
+	sec, slot      []float64
+	key            task.Region
 }
 
 // interior is the interior of owned block i's variable group gi: written by
@@ -246,6 +251,10 @@ func (d *dataFlowDriver) describe(r task.Region) string {
 // face and send tasks per message with multidependencies on the packed
 // sections; then one fill task per block for everything that stays within
 // the rank; then the unpack tasks fed by the receives' buffer sections.
+// The pin counts two sites of inlined callees that a run with the sanitizer
+// off never reaches: BindSection's and a lease's panic message.
+//
+//amr:hot allocs=2
 func (d *dataFlowDriver) Communicate(_, g0, g1 int) error {
 	s := d.s
 	gv := g1 - g0
@@ -265,39 +274,21 @@ func (d *dataFlowDriver) Communicate(_, g0, g1 int) error {
 		// data arrived (the buffer must not be consumed in the task).
 		for pi := range s.recvPlans[dir] {
 			pl := &s.recvPlans[dir][pi]
-			peer, msg, tag := pl.peer, pl.msg, pl.tag
 			buf := s.recvBufs[dir].Buf(pi)[:pl.cells*gv]
 			secs := d.regs[:0]
 			off := 0
-			for i, tr := range msg {
+			for i, tr := range pl.msg {
 				sec, key := buf[off:off+tr.Len(gv)], section(pl, i)
 				off += tr.Len(gv)
 				secs = append(secs, key)
 				d.g.BindSection(key, sec)
-				unpacks = append(unpacks, unpackJob{tr: tr, own: pl.own[i], sec: sec, key: key})
+				unpacks = append(unpacks, args{i: pl.own[i], tr: tr, sec: sec, key: key, g0: g0, g1: g1})
 			}
 			d.regs = secs
-			d.g.Spawn("recv", func(t *task.Task) {
-				for i := range msg {
-					d.g.NoteWrite(t, section(pl, i)) // the arriving message fills every section
-				}
-				if s.cfg.BlockingTAMPI {
-					// TAMPI's blocking mode: the task pauses until the
-					// message arrives, releasing its core meanwhile.
-					start := time.Now()
-					if _, err := d.g.X.Recv(t, buf, peer, tag); err != nil {
-						panic(err)
-					}
-					s.rec.Record(s.rank, t.Worker(), "recv-wait", start, time.Now())
-					return
-				}
-				req, err := s.comm.Irecv(buf, peer, tag)
-				if err != nil {
-					panic(err)
-				}
-				d.g.RecordInFlight(t, "recv-wait", req)
-				d.g.X.Iwait(t, req)
-			}, d.g.Out(secs...)...)
+			d.g.Spawn("recv", d.g.RecvBody(driver.Message{
+				Sec: pl.sec, Secs: len(pl.msg), Peer: pl.peer, Tag: pl.tag,
+				Buf: buf, Blocking: s.cfg.BlockingTAMPI,
+			}), d.g.Out(secs...)...)
 		}
 
 		// Sends: the message buffer is a fresh arena lease; pack tasks
@@ -310,48 +301,24 @@ func (d *dataFlowDriver) Communicate(_, g0, g1 int) error {
 		// stage's stencil and on nothing of this stage.
 		for pi := range s.sendPlans[dir] {
 			pl := &s.sendPlans[dir][pi]
-			peer, msg, tag := pl.peer, pl.msg, pl.tag
 			lease := s.arena.LeaseFloat64(pl.cells * gv)
 			buf := lease.Float64()
 			secs := d.regs[:0]
 			off := 0
-			for i, tr := range msg {
-				sec := buf[off : off+tr.Len(gv)]
+			for i, tr := range pl.msg {
+				pj := args{i: pl.own[i], tr: tr, sec: buf[off : off+tr.Len(gv)], key: section(pl, i), g0: g0, g1: g1}
 				off += tr.Len(gv)
-				secKey, src := section(pl, i), d.interior(pl.own[i], gi)
-				secs = append(secs, secKey)
-				blk := d.blocks[pl.own[i]]
-				d.g.Spawn("pack", func(t *task.Task) {
-					d.g.NoteRead(t, src)
-					d.g.NoteWrite(t, secKey)
-					s.rec.Span(s.rank, t.Worker(), "pack", func() {
-						comm.Pack(tr, blk, g0, g1, sec)
-					})
-				}, d.g.Merge(
-					d.g.In(src),
-					d.g.Out(secKey),
+				secs = append(secs, pj.key)
+				d.g.Spawn("pack", d.packJobs.Body(pj), d.g.Merge(
+					d.g.In(d.interior(pj.i, gi)),
+					d.g.Out(pj.key),
 				)...)
 			}
 			d.regs = secs
-			d.g.Spawn("send", func(t *task.Task) {
-				for i := range msg {
-					d.g.NoteRead(t, section(pl, i)) // the send serialises every packed section
-				}
-				if s.cfg.BlockingTAMPI {
-					start := time.Now()
-					if err := d.g.X.SendOwned(t, lease, peer, tag); err != nil {
-						panic(err)
-					}
-					s.rec.Record(s.rank, t.Worker(), "send-wait", start, time.Now())
-					return
-				}
-				req, err := s.comm.IsendOwned(lease, peer, tag)
-				if err != nil {
-					panic(err)
-				}
-				d.g.RecordInFlight(t, "send-wait", req)
-				d.g.X.Iwait(t, req)
-			}, d.g.In(secs...)...)
+			d.g.Spawn("send", d.g.SendBody(driver.Message{
+				Sec: pl.sec, Secs: len(pl.msg), Peer: pl.peer, Tag: pl.tag,
+				Lease: lease, Blocking: s.cfg.BlockingTAMPI,
+			}), d.g.In(secs...)...)
 		}
 	}
 
@@ -360,21 +327,33 @@ func (d *dataFlowDriver) Communicate(_, g0, g1 int) error {
 	// Unpackers: consume the receives' buffer sections into block ghosts
 	// once the bound requests complete.
 	for _, uj := range unpacks {
-		dst := d.halo(uj.own, gi)
-		blk := d.blocks[uj.own]
-		d.g.Spawn("unpack", func(t *task.Task) {
-			d.g.NoteRead(t, uj.key)
-			d.g.NoteWrite(t, dst)
-			s.rec.Span(s.rank, t.Worker(), "unpack", func() {
-				comm.Unpack(uj.tr, blk, g0, g1, uj.sec)
-			})
-		}, d.g.Merge(
+		d.g.Spawn("unpack", d.unpackJobs.Body(uj), d.g.Merge(
 			d.g.In(uj.key),
-			d.g.InOut(dst),
+			d.g.InOut(d.halo(uj.i, gi)),
 		)...)
 	}
 	d.unpacks = unpacks
 	return d.g.X.Err()
+}
+
+// pack is a pack task: a block's face into its section of a message.
+func (d *dataFlowDriver) pack(t *task.Task, a *args) {
+	s := d.s
+	d.g.NoteRead(t, d.interior(a.i, d.groupIndex(a.g0)))
+	d.g.NoteWrite(t, a.key)
+	s.rec.Span(s.rank, t.Worker(), "pack", func() {
+		comm.Pack(a.tr, d.blocks[a.i], a.g0, a.g1, a.sec)
+	})
+}
+
+// unpack is an unpack task: one received section into a block's halo.
+func (d *dataFlowDriver) unpack(t *task.Task, a *args) {
+	s := d.s
+	d.g.NoteRead(t, a.key)
+	d.g.NoteWrite(t, d.halo(a.i, d.groupIndex(a.g0)))
+	s.rec.Span(s.rank, t.Worker(), "unpack", func() {
+		comm.Unpack(a.tr, d.blocks[a.i], a.g0, a.g1, a.sec)
+	})
 }
 
 // fillGhosts spawns the intra-rank exchange: one task per destination
@@ -384,40 +363,53 @@ func (d *dataFlowDriver) Communicate(_, g0, g1 int) error {
 // gives the same bits. A fill reads the interiors of its sources and
 // writes the destination's halo; it keeps the label of the per-face copy
 // tasks it replaces, which is what traces and the benchmark fold it under.
+//
+//amr:hot allocs=0
 func (d *dataFlowDriver) fillGhosts(g0, g1 int) {
-	s, fp := d.s, &d.fill
+	fp := &d.fill
 	gi := d.groupIndex(g0)
-	var from fillBlock
-	for _, fb := range fp.blocks {
-		dst := d.blocks[fb.owned]
-		copies, faces := fp.copies[from.copies:fb.copies], fp.faces[from.faces:fb.faces]
-		srcIdx := fp.srcs[from.srcs:fb.srcs] // the copies' sources first
-		from = fb
+	for k, fb := range fp.blocks {
 		srcs := d.regs[:0]
-		for _, j := range srcIdx {
+		for _, j := range fp.srcs[d.fillFrom(k).srcs:fb.srcs] {
 			srcs = append(srcs, d.interior(j, gi))
 		}
 		d.regs = srcs
-		halo := d.halo(fb.owned, gi)
-		d.g.Spawn("local-copy", func(t *task.Task) {
-			for _, j := range srcIdx {
-				d.g.NoteRead(t, d.interior(j, gi))
-			}
-			d.g.NoteWrite(t, halo)
-			s.rec.Span(s.rank, t.Worker(), "local-copy", func() {
-				scratch := d.g.Scratch(t.Worker())
-				for k, tr := range copies {
-					comm.ExecuteLocal(tr, d.blocks[srcIdx[k]], dst, g0, g1, scratch)
-				}
-				for _, f := range faces {
-					dst.ApplyDomainBoundary(f.dir, f.side, g0, g1)
-				}
-			})
-		}, d.g.Merge(
+		d.g.Spawn("local-copy", d.fillJobs.Body(args{i: k, g0: g0, g1: g1}), d.g.Merge(
 			d.g.In(srcs...),
-			d.g.InOut(halo),
+			d.g.InOut(d.halo(fb.owned, gi)),
 		)...)
 	}
+}
+
+// fillFrom is where entry k of the fill plan starts: the end of entry k-1.
+func (d *dataFlowDriver) fillFrom(k int) (from fillBlock) {
+	if k > 0 {
+		from = d.fill.blocks[k-1]
+	}
+	return from
+}
+
+// fillBlock is a fill task: entry a.i of the fill plan.
+func (d *dataFlowDriver) fillBlock(t *task.Task, a *args) {
+	s, fp := d.s, &d.fill
+	gi := d.groupIndex(a.g0)
+	from, fb := d.fillFrom(a.i), fp.blocks[a.i]
+	dst := d.blocks[fb.owned]
+	copies, faces := fp.copies[from.copies:fb.copies], fp.faces[from.faces:fb.faces]
+	srcIdx := fp.srcs[from.srcs:fb.srcs] // the copies' sources first
+	for _, j := range srcIdx {
+		d.g.NoteRead(t, d.interior(j, gi))
+	}
+	d.g.NoteWrite(t, d.halo(fb.owned, gi))
+	s.rec.Span(s.rank, t.Worker(), "local-copy", func() {
+		scratch := d.g.Scratch(t.Worker())
+		for k, tr := range copies {
+			comm.ExecuteLocal(tr, d.blocks[srcIdx[k]], dst, a.g0, a.g1, scratch)
+		}
+		for _, f := range faces {
+			dst.ApplyDomainBoundary(f.dir, f.side, a.g0, a.g1)
+		}
+	})
 }
 
 // Compute spawns one stencil task per block, in-out on the block's interior and
@@ -425,28 +417,39 @@ func (d *dataFlowDriver) fillGhosts(g0, g1 int) {
 // fills, packs and unpacks follow it. The halo is in-out although the
 // 7-point kernel only reads it: the 27-point one first completes it with
 // edges and corners.
+//
+//amr:hot allocs=0
 func (d *dataFlowDriver) Compute(_, g0, g1 int) error {
 	s := d.s
 	gi := d.groupIndex(g0)
 	d.plan()
 	for i, blk := range d.blocks {
-		own, halo := d.interior(i, gi), d.halo(i, gi)
-		d.g.Spawn("stencil", func(t *task.Task) {
-			d.g.NoteRead(t, halo)
-			if s.cfg.Stencil == 27 {
-				d.g.NoteWrite(t, halo)
-			}
-			d.g.NoteWrite(t, own)
-			s.rec.Span(s.rank, t.Worker(), "stencil", func() { s.runStencil(blk, g0, g1) })
-		}, d.g.InOut(own, halo)...)
+		d.g.Spawn("stencil", d.stencilJobs.Body(args{i: i, g0: g0, g1: g1}),
+			d.g.InOut(d.interior(i, gi), d.halo(i, gi))...)
 		s.flops += s.stencilFlops(blk, g0, g1)
 	}
 	return nil
 }
 
+// stencil is a stencil task: the kernel on owned block a.i.
+func (d *dataFlowDriver) stencil(t *task.Task, a *args) {
+	s := d.s
+	gi := d.groupIndex(a.g0)
+	halo := d.halo(a.i, gi)
+	d.g.NoteRead(t, halo)
+	if s.cfg.Stencil == 27 {
+		d.g.NoteWrite(t, halo)
+	}
+	d.g.NoteWrite(t, d.interior(a.i, gi))
+	s.rec.Span(s.rank, t.Worker(), "stencil", func() { s.runStencil(d.blocks[a.i], a.g0, a.g1) })
+}
+
 // Checksum spawns local-reduction tasks into the current parity's slots
 // and validates either this stage (default) or the previous one
-// (DelayedChecksum), so the barrier does not drain in-flight stages.
+// (DelayedChecksum), so the barrier does not drain in-flight stages. The
+// pin is slices.Grow's panic message.
+//
+//amr:hot allocs=1
 func (d *dataFlowDriver) Checksum(int) error {
 	s := d.s
 	par := d.parity
@@ -455,7 +458,7 @@ func (d *dataFlowDriver) Checksum(int) error {
 	d.plan()
 	slots := slices.Grow(d.slots[par][:0], len(d.blocks))[:len(d.blocks)]
 	d.slots[par] = slots
-	for i, blk := range d.blocks {
+	for i := range d.blocks {
 		slot := s.arena.GetFloat64(s.cfg.Vars) // Checksum overwrites it
 		slots[i] = slot
 		deps := d.regs[:0]
@@ -463,16 +466,8 @@ func (d *dataFlowDriver) Checksum(int) error {
 			deps = append(deps, d.interior(i, gi))
 		}
 		d.regs = deps
-		sum := d.slot(par, i)
-		d.g.Spawn("cksum-local", func(t *task.Task) {
-			for gi := 0; gi < d.groups; gi++ {
-				d.g.NoteRead(t, d.interior(i, gi))
-			}
-			d.g.NoteWrite(t, sum)
-			s.rec.Span(s.rank, t.Worker(), "cksum-local", func() {
-				blk.Checksum(0, s.cfg.Vars, slot)
-			})
-		}, d.g.Merge(d.g.In(deps...), d.g.Out(sum))...)
+		d.g.Spawn("cksum-local", d.sumJobs.Body(args{i: i, par: par, slot: slot}),
+			d.g.Merge(d.g.In(deps...), d.g.Out(d.slot(par, i)))...)
 	}
 	d.pending[par] = true
 
@@ -483,6 +478,18 @@ func (d *dataFlowDriver) Checksum(int) error {
 		return d.flushChecksum(par ^ 1)
 	}
 	return d.flushChecksum(par)
+}
+
+// sumBlock is a local checksum task: owned block a.i's sums into its slot.
+func (d *dataFlowDriver) sumBlock(t *task.Task, a *args) {
+	s := d.s
+	for gi := 0; gi < d.groups; gi++ {
+		d.g.NoteRead(t, d.interior(a.i, gi))
+	}
+	d.g.NoteWrite(t, d.slot(a.par, a.i))
+	s.rec.Span(s.rank, t.Worker(), "cksum-local", func() {
+		d.blocks[a.i].Checksum(0, s.cfg.Vars, a.slot)
+	})
 }
 
 // flushChecksum waits (with dependencies only) for one parity's local

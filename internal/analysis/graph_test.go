@@ -121,8 +121,10 @@ func TestHydroGraphStructure(t *testing.T) {
 	for _, e := range []string{
 		"communicate/pack -> communicate/send flow section",
 		"communicate/recv -> communicate/unpack flow section",
-		"communicate/unpack -> compute/sweep flow tile",
-		"compute/sweep -> checksum/cksum-local flow tile",
+		"communicate/unpack -> compute/sweep flow halo",
+		"communicate/local-copy -> compute/sweep flow halo",
+		"compute/sweep -> checksum/cksum-local flow interior",
+		"compute/sweep -> communicate/pack flow interior carried",
 		"checksum/cksum-local -> checksum/taskwait flow sum",
 		"begin-step/cfl-scan -> begin-step/taskwait flow wave",
 		"begin-step/taskwait -> begin-step/AllreduceFloat64(Max) seq",
@@ -130,6 +132,19 @@ func TestHydroGraphStructure(t *testing.T) {
 	} {
 		if !edges[e] {
 			t.Errorf("edge %q missing", e)
+		}
+	}
+	// Packs, scans and checksums read interiors and the ghost exchange
+	// writes halos: with one region per tile the local copies into a tile
+	// waited for every reader of it.
+	for e := range edges {
+		for _, from := range []string{"communicate/pack", "begin-step/cfl-scan", "checksum/cksum-local"} {
+			if strings.HasPrefix(e, from+" -> communicate/local-copy") {
+				t.Errorf("false dependency %s is back", e)
+			}
+		}
+		if strings.HasPrefix(e, "communicate/local-copy -> communicate/unpack anti") {
+			t.Errorf("false dependency %s is back", e)
 		}
 	}
 }

@@ -50,10 +50,14 @@ type GraphEngine struct {
 	rt        *task.Runtime
 	san       *sanitize.DepSanitizer // nil when the sanitizer is off
 	rec       *trace.Recorder
+	comm      *mpi.Comm
 	rank      int
 	arena     *membuf.Arena
 	scratches [][]float64
 	accs      []task.Access // access list of the Spawn under construction
+
+	iters        *Jobs[iteration] // ParFor's
+	recvs, sends *Jobs[Message]
 }
 
 // NewGraphEngine builds the task runtime, binds the task-aware MPI
@@ -86,6 +90,7 @@ func NewGraphEngine(o GraphOptions) (*GraphEngine, error) {
 		rt:        rt,
 		san:       san,
 		rec:       o.Recorder,
+		comm:      o.Comm,
 		rank:      o.Comm.Rank(),
 		arena:     o.Comm.World().Arena(),
 		scratches: make([][]float64, o.Workers),
@@ -93,6 +98,8 @@ func NewGraphEngine(o GraphOptions) (*GraphEngine, error) {
 	for i := range g.scratches {
 		g.scratches[i] = g.arena.GetFloat64(o.ScratchLen)
 	}
+	g.iters = NewJobs(func(t *task.Task, it *iteration) { it.body(it.i, t.Worker()) })
+	g.recvs, g.sends = NewJobs(g.recv), NewJobs(g.send)
 	return g, nil
 }
 
@@ -152,11 +159,78 @@ func (g *GraphEngine) Merge(lists ...[]task.Access) []task.Access {
 // ParFor is LoopEngine.ParFor on the task runtime, with the tasks' label in
 // front: body(i, w) for every i in [0, n) as independent tasks on worker w,
 // then a global taskwait.
+//
+//amr:hot allocs=0
 func (g *GraphEngine) ParFor(label string, n int, body func(i, w int)) {
 	for i := 0; i < n; i++ {
-		g.Spawn(label, func(t *task.Task) { body(i, t.Worker()) })
+		g.Spawn(label, g.iters.Body(iteration{body: body, i: i}))
 	}
 	g.Wait()
+}
+
+type iteration struct {
+	body func(i, w int)
+	i    int
+}
+
+// Message is a message task's arguments: the Secs sections from region Sec
+// its buffer is cut into, peer, tag and the buffer (Buf to receive into,
+// Lease to send). Blocking selects TAMPI's blocking mode, in which the task
+// pauses until the transfer completes; otherwise the request is bound to it.
+type Message struct {
+	Sec             task.Region
+	Secs, Peer, Tag int
+	Buf             []float64
+	Lease           *membuf.Lease
+	Blocking        bool
+}
+
+// RecvBody returns a receive task's body: the readers of the sections run
+// once the data arrived, so the buffer must not be consumed in the task.
+func (g *GraphEngine) RecvBody(m Message) func(*task.Task) { return g.recvs.Body(m) }
+
+// SendBody returns a send task's body, which passes the lease to the MPI
+// layer (the receiving rank returns it to the arena).
+func (g *GraphEngine) SendBody(m Message) func(*task.Task) { return g.sends.Body(m) }
+
+func (g *GraphEngine) recv(t *task.Task, m *Message) {
+	for i := range m.Secs {
+		g.NoteWrite(t, m.Sec+task.Region(i)) // the arriving message fills every section
+	}
+	if m.Blocking {
+		start := time.Now()
+		if _, err := g.X.Recv(t, m.Buf, m.Peer, m.Tag); err != nil {
+			panic(err)
+		}
+		g.rec.Record(g.rank, t.Worker(), "recv-wait", start, time.Now())
+		return
+	}
+	req, err := g.comm.Irecv(m.Buf, m.Peer, m.Tag)
+	if err != nil {
+		panic(err)
+	}
+	g.recordInFlight(t, "recv-wait", req)
+	g.X.Iwait(t, req)
+}
+
+func (g *GraphEngine) send(t *task.Task, m *Message) {
+	for i := range m.Secs {
+		g.NoteRead(t, m.Sec+task.Region(i)) // the send serialises every packed section
+	}
+	if m.Blocking {
+		start := time.Now()
+		if err := g.X.SendOwned(t, m.Lease, m.Peer, m.Tag); err != nil {
+			panic(err)
+		}
+		g.rec.Record(g.rank, t.Worker(), "send-wait", start, time.Now())
+		return
+	}
+	req, err := g.comm.IsendOwned(m.Lease, m.Peer, m.Tag)
+	if err != nil {
+		panic(err)
+	}
+	g.recordInFlight(t, "send-wait", req)
+	g.X.Iwait(t, req)
 }
 
 // Wait blocks until every spawned task completed (a global taskwait).
@@ -208,12 +282,12 @@ func (g *GraphEngine) ResetBindings() {
 	}
 }
 
-// RecordInFlight traces the window from operation start to request
+// recordInFlight traces the window from operation start to request
 // completion — the in-flight communication that the data-flow model
 // overlaps with computation (what the paper's Figure 3 visualises).
 //
 //amr:hot allocs=1
-func (g *GraphEngine) RecordInFlight(t *task.Task, label string, req *mpi.Request) {
+func (g *GraphEngine) recordInFlight(t *task.Task, label string, req *mpi.Request) {
 	if g.rec == nil {
 		return
 	}

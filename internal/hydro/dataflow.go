@@ -2,7 +2,6 @@ package hydro
 
 import (
 	"fmt"
-	"time"
 
 	"miniamr/internal/driver"
 	"miniamr/internal/task"
@@ -20,16 +19,19 @@ type dfDriver struct {
 	g *driver.GraphEngine
 	// unpacks is Communicate's list of pending unpack tasks and regs the
 	// multidependency list being declared, both kept for their storage.
-	unpacks []unpackJob
+	unpacks []args
 	regs    []task.Region
 
-	// The first handles of the per-tile region tables (see tile, wave, sum),
+	// tiles is the first handle of the per-tile region tables (see tile),
 	// reserved once, like the message sections: the tile set never changes.
-	tiles, waves, sums task.Region
+	tiles task.Region
 	// waveVals and sumSlots are the per-tile slots the CFL scan and the
 	// checksum fill, in the order of state.tiles, reused across stages.
 	waveVals []float64
 	sumSlots [][]float64
+
+	// The recycled job records of the task kinds.
+	scanJobs, packJobs, copyJobs, unpackJobs, sweepJobs, sumJobs *driver.Jobs[args]
 }
 
 // reserve binds the driver to its engine and reserves the rank's dependency
@@ -37,8 +39,9 @@ type dfDriver struct {
 func (d *dfDriver) reserve(g *driver.GraphEngine) {
 	s, n := d.s, len(d.s.tiles)
 	d.g, d.waveVals, d.sumSlots = g, make([]float64, n), make([][]float64, n)
-	d.tiles = g.Reserve(3 * n)
-	d.waves, d.sums = d.tiles+task.Region(n), d.tiles+task.Region(2*n)
+	d.scanJobs, d.packJobs, d.copyJobs = driver.NewJobs(d.scan), driver.NewJobs(d.pack), driver.NewJobs(d.copyEdge)
+	d.unpackJobs, d.sweepJobs, d.sumJobs = driver.NewJobs(d.unpack), driver.NewJobs(d.sweep), driver.NewJobs(d.sumTile)
+	d.tiles = g.Reserve(regTables * n)
 	// A message's sections are one run of regions, long enough for any
 	// message. With shared buffers both directions' messages of one peer
 	// share a run (reproducing the false dependencies that separate buffers
@@ -72,32 +75,36 @@ func (d *dfDriver) reserve(g *driver.GraphEngine) {
 	}
 }
 
-// unpackJob is one received segment waiting for its unpack task: the
-// section of the receive buffer it reads and that section's region.
-type unpackJob struct {
-	sg  seg
-	sec []float64
-	key task.Region
+// args is a task's arguments: the stage's direction; tile t, the i-th of the
+// rank, with its data u and a checksum's slot; a pack's or unpack's segment
+// sg with its message section sec and that section's region; a local copy.
+type args struct {
+	dir, i, t int
+	u, slot   []float64
+	sg        seg
+	sec       []float64
+	key       task.Region
+	lc        localCopy
 }
 
-// tile is tile t's conserved state; it persists across timesteps, chaining
-// unpack -> sweep -> pack across stages. A rank's tiles are a contiguous
-// range of ids.
-//
-//amr:hot allocs=0
-func (d *dfDriver) tile(t int) task.Region { return d.tiles + task.Region(t-d.s.tiles[0]) }
+// The per-tile region tables. A tile is two regions, because its two parts
+// have different writers: the sweep writes the interior, the ghost exchange
+// the halo. Both persist across timesteps.
+const (
+	regInterior = iota // written by sweep; read by pack, cfl-scan, cksum-local and the local copies out of the tile
+	regHalo            // written by the local copies into the tile and its unpacks, read by sweep
+	regWave            // the CFL scan's slot, drained by the reduction's taskwait
+	regSum             // the checksum's slot, drained by the validation's taskwait
+	regTables
+)
 
-// wave is tile t's CFL wave-speed contribution slot, written once per
-// timestep and drained by the reduction's taskwait.
+// tile is tile t's region in table k; a rank's tiles are a contiguous range
+// of ids.
 //
 //amr:hot allocs=0
-func (d *dfDriver) wave(t int) task.Region { return d.waves + task.Region(t-d.s.tiles[0]) }
-
-// sum is tile t's checksum accumulator slot, written once per checksum
-// stage and drained by the validation's taskwait.
-//
-//amr:hot allocs=0
-func (d *dfDriver) sum(t int) task.Region { return d.sums + task.Region(t-d.s.tiles[0]) }
+func (d *dfDriver) tile(k, t int) task.Region {
+	return d.tiles + task.Region(k*len(d.s.tiles)+t-d.s.tiles[0])
+}
 
 // section is segment idx's section of the buffer of message pl. Sections
 // are per-stage: produced, consumed once, recycled.
@@ -108,8 +115,8 @@ func section(pl *driver.Plan[seg], idx int) task.Region { return pl.Sec + task.R
 // describe names a region in words for the sanitizer's reports.
 func (d *dfDriver) describe(r task.Region) string {
 	s, n := d.s, len(d.s.tiles)
-	if i := int(r) - int(d.tiles); i >= 0 && i < 3*n {
-		return fmt.Sprintf("%s %d", [3]string{"tile", "wave", "sum"}[i/n], s.tiles[i%n])
+	if i := int(r) - int(d.tiles); i >= 0 && i < regTables*n {
+		return fmt.Sprintf("%s %d", [regTables]string{"interior", "halo", "wave", "sum"}[i/n], s.tiles[i%n])
 	}
 	for dir := range s.plans {
 		for way, plans := range [2][]driver.Plan[seg]{s.plans[dir].RecvPlans, s.plans[dir].SendPlans} {
@@ -128,20 +135,16 @@ func (d *dfDriver) describe(r task.Region) string {
 // slots and the global max on the main goroutine. The taskwait
 // transitively drains every tile writer of the previous stage, so the
 // following s.dt update never races a sweep.
+//
+//amr:hot allocs=0
 func (d *dfDriver) BeginStep(ts int) error {
 	s := d.s
 	waves := d.regs[:0]
 	for i, t := range s.tiles {
-		u := s.data[t]
-		tile, wave := d.tile(t), d.wave(t)
+		wave := d.tile(regWave, t)
 		waves = append(waves, wave)
-		d.g.Spawn("cfl-scan", func(tk *task.Task) {
-			d.g.NoteRead(tk, tile)
-			d.g.NoteWrite(tk, wave)
-			s.rec.Span(s.rank, tk.Worker(), "cfl-scan", func() {
-				d.waveVals[i] = s.maxWave(u)
-			})
-		}, d.g.Merge(d.g.In(tile), d.g.Out(wave))...)
+		d.g.Spawn("cfl-scan", d.scanJobs.Body(args{i: i, t: t, u: s.data[t]}),
+			d.g.Merge(d.g.In(d.tile(regInterior, t)), d.g.Out(wave))...)
 		s.flops += s.waveFlops()
 	}
 	d.regs = waves
@@ -158,10 +161,24 @@ func (d *dfDriver) BeginStep(ts int) error {
 	return s.reduceWave(wave)
 }
 
+// scan is a CFL scan task: the tile's maximum wave speed into its slot.
+func (d *dfDriver) scan(tk *task.Task, a *args) {
+	s := d.s
+	d.g.NoteRead(tk, d.tile(regInterior, a.t))
+	d.g.NoteWrite(tk, d.tile(regWave, a.t))
+	s.rec.Span(s.rank, tk.Worker(), "cfl-scan", func() {
+		d.waveVals[a.i] = s.maxWave(a.u)
+	})
+}
+
 // Communicate taskifies the ghost exchange: a receive task per message
 // binding the request, pack tasks per segment, send tasks with
 // multidependencies on the packed sections, local copy tasks, and unpack
-// tasks fed by the receive's buffer sections.
+// tasks fed by the receive's buffer sections. The pin counts two sites of
+// inlined callees that a run with the sanitizer off never reaches:
+// BindSection's and a lease's panic message.
+//
+//amr:hot allocs=2
 func (d *dfDriver) Communicate(stage, g0, g1 int) error {
 	s := d.s
 	dir := stage - 1
@@ -181,37 +198,19 @@ func (d *dfDriver) Communicate(stage, g0, g1 int) error {
 	// to the MPI request, so unpackers run only once the data arrived.
 	for pi := range s.plans[dir].RecvPlans {
 		pl := &s.plans[dir].RecvPlans[pi]
-		peer, tag, segs := pl.Peer, pl.Tag, pl.Segs
 		buf := s.plans[dir].RecvBuf(pi)[:pl.Cells*gv]
 		secs := d.regs[:0]
-		for i, sg := range segs {
+		for i, sg := range pl.Segs {
 			sec, key := s.segBuf(dir, buf, i), section(pl, i)
 			secs = append(secs, key)
 			d.g.BindSection(key, sec)
-			unpacks = append(unpacks, unpackJob{sg: sg, sec: sec, key: key})
+			unpacks = append(unpacks, args{dir: dir, sg: sg, sec: sec, key: key})
 		}
 		d.regs = secs
-		d.g.Spawn("recv", func(t *task.Task) {
-			for i := range segs {
-				d.g.NoteWrite(t, section(pl, i)) // the arriving message fills every section
-			}
-			if s.cfg.BlockingTAMPI {
-				// TAMPI's blocking mode: the task pauses until the
-				// message arrives, releasing its core meanwhile.
-				start := time.Now()
-				if _, err := d.g.X.Recv(t, buf, peer, tag); err != nil {
-					panic(err)
-				}
-				s.rec.Record(s.rank, t.Worker(), "recv-wait", start, time.Now())
-				return
-			}
-			req, err := s.comm.Irecv(buf, peer, tag)
-			if err != nil {
-				panic(err)
-			}
-			d.g.RecordInFlight(t, "recv-wait", req)
-			d.g.X.Iwait(t, req)
-		}, d.g.Out(secs...)...)
+		d.g.Spawn("recv", d.g.RecvBody(driver.Message{
+			Sec: pl.Sec, Secs: len(pl.Segs), Peer: pl.Peer, Tag: pl.Tag,
+			Buf: buf, Blocking: s.cfg.BlockingTAMPI,
+		}), d.g.Out(secs...)...)
 	}
 
 	// Sends: the message buffer is a fresh arena lease; pack tasks per
@@ -220,119 +219,111 @@ func (d *dfDriver) Communicate(stage, g0, g1 int) error {
 	// layer (the receiving rank returns it to the arena).
 	for pi := range s.plans[dir].SendPlans {
 		pl := &s.plans[dir].SendPlans[pi]
-		peer, tag, segs := pl.Peer, pl.Tag, pl.Segs
 		lease := s.arena.LeaseFloat64(pl.Cells * gv)
 		buf := lease.Float64()
 		secs := d.regs[:0]
-		for i, sg := range segs {
-			sec := s.segBuf(dir, buf, i)
-			secKey, tile := section(pl, i), d.tile(sg.Tile)
-			secs = append(secs, secKey)
-			d.g.Spawn("pack", func(t *task.Task) {
-				d.g.NoteRead(t, tile)
-				d.g.NoteWrite(t, secKey)
-				s.rec.Span(s.rank, t.Worker(), "pack", func() {
-					s.packSeg(dir, sg, sec)
-				})
-			}, d.g.Merge(
-				d.g.In(tile),
-				d.g.Out(secKey),
+		for i, sg := range pl.Segs {
+			pj := args{dir: dir, sg: sg, sec: s.segBuf(dir, buf, i), key: section(pl, i)}
+			secs = append(secs, pj.key)
+			d.g.Spawn("pack", d.packJobs.Body(pj), d.g.Merge(
+				d.g.In(d.tile(regInterior, sg.Tile)),
+				d.g.Out(pj.key),
 			)...)
 		}
 		d.regs = secs
-		d.g.Spawn("send", func(t *task.Task) {
-			for i := range segs {
-				d.g.NoteRead(t, section(pl, i)) // the send serialises every packed section
-			}
-			if s.cfg.BlockingTAMPI {
-				start := time.Now()
-				if err := d.g.X.SendOwned(t, lease, peer, tag); err != nil {
-					panic(err)
-				}
-				s.rec.Record(s.rank, t.Worker(), "send-wait", start, time.Now())
-				return
-			}
-			req, err := s.comm.IsendOwned(lease, peer, tag)
-			if err != nil {
-				panic(err)
-			}
-			d.g.RecordInFlight(t, "send-wait", req)
-			d.g.X.Iwait(t, req)
-		}, d.g.In(secs...)...)
+		d.g.Spawn("send", d.g.SendBody(driver.Message{
+			Sec: pl.Sec, Secs: len(pl.Segs), Peer: pl.Peer, Tag: pl.Tag,
+			Lease: lease, Blocking: s.cfg.BlockingTAMPI,
+		}), d.g.In(secs...)...)
 	}
 
 	// Same-rank copies: edge exchange tasks between neighbouring tiles.
 	for _, lc := range s.locals[dir] {
-		src, dst := d.tile(lc.src), d.tile(lc.dst)
-		d.g.Spawn("local-copy", func(t *task.Task) {
-			d.g.NoteRead(t, src)
-			d.g.NoteWrite(t, dst)
-			s.rec.Span(s.rank, t.Worker(), "local-copy", func() {
-				s.copyLocal(dir, lc)
-			})
-		}, d.g.Merge(
-			d.g.In(src),
-			d.g.InOut(dst),
+		d.g.Spawn("local-copy", d.copyJobs.Body(args{dir: dir, lc: lc}), d.g.Merge(
+			d.g.In(d.tile(regInterior, lc.src)),
+			d.g.InOut(d.tile(regHalo, lc.dst)),
 		)...)
 	}
 
 	// Unpackers: consume the receive's buffer sections into tile ghosts
 	// once the bound requests complete.
 	for _, uj := range unpacks {
-		tile := d.tile(uj.sg.Tile)
-		d.g.Spawn("unpack", func(t *task.Task) {
-			d.g.NoteRead(t, uj.key)
-			d.g.NoteWrite(t, tile)
-			s.rec.Span(s.rank, t.Worker(), "unpack", func() {
-				s.unpackSeg(dir, uj.sg, uj.sec)
-			})
-		}, d.g.Merge(
+		d.g.Spawn("unpack", d.unpackJobs.Body(uj), d.g.Merge(
 			d.g.In(uj.key),
-			d.g.InOut(tile),
+			d.g.InOut(d.tile(regHalo, uj.sg.Tile)),
 		)...)
 	}
 	d.unpacks = unpacks
 	return d.g.X.Err()
 }
 
-// Compute spawns one sweep task per tile, depending in-out on the tile so
-// it naturally follows the ghost fills.
+// pack is a pack task: one tile edge into its section of a message.
+func (d *dfDriver) pack(t *task.Task, a *args) {
+	s := d.s
+	d.g.NoteRead(t, d.tile(regInterior, a.sg.Tile))
+	d.g.NoteWrite(t, a.key)
+	s.rec.Span(s.rank, t.Worker(), "pack", func() { s.packSeg(a.dir, a.sg, a.sec) })
+}
+
+// unpack is an unpack task: one received section into a tile's ghosts.
+func (d *dfDriver) unpack(t *task.Task, a *args) {
+	s := d.s
+	d.g.NoteRead(t, a.key)
+	d.g.NoteWrite(t, d.tile(regHalo, a.sg.Tile))
+	s.rec.Span(s.rank, t.Worker(), "unpack", func() { s.unpackSeg(a.dir, a.sg, a.sec) })
+}
+
+// copyEdge is a local copy task: one tile's interior edge into its
+// neighbour's ghosts.
+func (d *dfDriver) copyEdge(t *task.Task, a *args) {
+	s := d.s
+	d.g.NoteRead(t, d.tile(regInterior, a.lc.src))
+	d.g.NoteWrite(t, d.tile(regHalo, a.lc.dst))
+	s.rec.Span(s.rank, t.Worker(), "local-copy", func() { s.copyLocal(a.dir, a.lc) })
+}
+
+// Compute spawns one sweep task per tile. A sweep reads the ghosts and
+// updates only interior cells, so it is in on the halo and in-out on the
+// interior: it follows the ghost fills, and the next stage's fills of the
+// same halo wait only for it to have read them.
+//
+//amr:hot allocs=0
 func (d *dfDriver) Compute(stage, g0, g1 int) error {
 	s := d.s
 	dir := stage - 1
 	for _, t := range s.tiles {
-		u := s.data[t]
-		tile := d.tile(t)
-		d.g.Spawn("sweep", func(tk *task.Task) {
-			d.g.NoteWrite(tk, tile)
-			s.rec.Span(s.rank, tk.Worker(), "sweep", func() {
-				s.sweep(dir, u, d.g.Scratch(tk.Worker()))
-			})
-		}, d.g.InOut(tile)...)
+		d.g.Spawn("sweep", d.sweepJobs.Body(args{t: t, dir: dir, u: s.data[t]}),
+			d.g.Merge(d.g.In(d.tile(regHalo, t)), d.g.InOut(d.tile(regInterior, t)))...)
 		s.flops += s.sweepFlops(dir)
 	}
 	return nil
 }
 
+// sweep is a sweep task: one directional update of a tile.
+func (d *dfDriver) sweep(tk *task.Task, a *args) {
+	s := d.s
+	d.g.NoteRead(tk, d.tile(regHalo, a.t))
+	d.g.NoteWrite(tk, d.tile(regInterior, a.t))
+	s.rec.Span(s.rank, tk.Worker(), "sweep", func() {
+		s.sweep(a.dir, a.u, d.g.Scratch(tk.Worker()))
+	})
+}
+
 // Checksum spawns per-tile reduction tasks into sum slots, closes them
 // with a taskwait with dependencies, and validates the global reduction
 // on the main goroutine.
+//
+//amr:hot allocs=0
 func (d *dfDriver) Checksum(int) error {
 	s := d.s
 	sums := d.regs[:0]
 	for i, t := range s.tiles {
 		slot := s.arena.GetFloat64(hydroVars) // tileSums overwrites it
 		d.sumSlots[i] = slot
-		u := s.data[t]
-		tile, sum := d.tile(t), d.sum(t)
+		sum := d.tile(regSum, t)
 		sums = append(sums, sum)
-		d.g.Spawn("cksum-local", func(tk *task.Task) {
-			d.g.NoteRead(tk, tile)
-			d.g.NoteWrite(tk, sum)
-			s.rec.Span(s.rank, tk.Worker(), "cksum-local", func() {
-				s.tileSums(u, slot)
-			})
-		}, d.g.Merge(d.g.In(tile), d.g.Out(sum))...)
+		d.g.Spawn("cksum-local", d.sumJobs.Body(args{t: t, u: s.data[t], slot: slot}),
+			d.g.Merge(d.g.In(d.tile(regInterior, t)), d.g.Out(sum))...)
 	}
 	d.regs = sums
 	d.g.WaitKeys(sums...)
@@ -344,6 +335,14 @@ func (d *dfDriver) Checksum(int) error {
 		s.arena.PutFloat64(slot)
 	}
 	return s.reduceAndValidate(local)
+}
+
+// sumTile is a local checksum task: the tile's sums into its slot.
+func (d *dfDriver) sumTile(tk *task.Task, a *args) {
+	s := d.s
+	d.g.NoteRead(tk, d.tile(regInterior, a.t))
+	d.g.NoteWrite(tk, d.tile(regSum, a.t))
+	s.rec.Span(s.rank, tk.Worker(), "cksum-local", func() { s.tileSums(a.u, a.slot) })
 }
 
 // Quiesce closes the parallelism (an explicit taskwait).

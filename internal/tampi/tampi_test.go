@@ -298,3 +298,75 @@ func TestBlockingBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestIwaitRecyclesItsBinding binds, round after round, a request that has
+// already completed (Bind then reports it on Iwait's own goroutine), a null
+// request and one still in flight, and in every other round only requests
+// that have completed. The successor must see both messages, and every round
+// must run on the one binding the first made: it goes back to the free list
+// after its last request's completion, whichever goroutine reports it.
+func TestIwaitRecyclesItsBinding(t *testing.T) {
+	const rounds = 20
+	const ready, early, late, resume = 0, 1, 2, 3
+	w := newWorld(2, simnet.None())
+	err := w.Run(func(c *mpi.Comm) {
+		must := func(err error) {
+			if err != nil {
+				t.Error(err)
+			}
+		}
+		if c.Rank() == 0 {
+			for r := 0; r < rounds; r++ {
+				must(c.Send([]int{r}, 1, early))
+				if r%2 == 1 {
+					must(c.Send([]int{-r}, 1, late))
+				}
+				must(c.Send([]int{0}, 1, ready)) // behind early (and late) on the wire
+				if r%2 == 0 {
+					_, err := c.Recv(make([]int, 1), 1, resume)
+					must(err)
+					must(c.Send([]int{-r}, 1, late))
+				}
+			}
+			return
+		}
+		rt := task.MustNewRuntime(task.Options{Workers: 2})
+		defer rt.Shutdown()
+		x := New(c)
+		for r := 0; r < rounds; r++ {
+			_, err := c.Recv(make([]int, 1), 0, ready)
+			must(err)
+			a, b := make([]int, 1), make([]int, 1)
+			rt.Spawn("recv", func(tk *task.Task) {
+				ra, err := c.Irecv(a, 0, early)
+				must(err)
+				select {
+				case <-ra.Done():
+				default:
+					t.Errorf("round %d: the early message's receive is still in flight", r)
+				}
+				rb, err := c.Irecv(b, 0, late)
+				must(err)
+				x.Iwait(tk, ra, nil, rb)
+				if r%2 == 0 {
+					must(c.Send([]int{0}, 0, resume))
+				}
+			}, task.Out("msgs")...)
+			rt.Spawn("check", func(*task.Task) {
+				if a[0] != r || b[0] != -r {
+					t.Errorf("round %d: successor saw %d and %d", r, a[0], b[0])
+				}
+			}, task.In("msgs")...)
+			rt.Wait()
+		}
+		must(x.Err())
+		x.mu.Lock()
+		defer x.mu.Unlock()
+		if len(x.free) != 1 {
+			t.Errorf("%d bindings on the free list after %d rounds, want the one every round reused", len(x.free), rounds)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
