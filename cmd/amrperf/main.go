@@ -14,8 +14,6 @@
 //	amrperf -o dir                     write one file per profile to dir
 //	amrperf -update dir                refresh golden text profiles in dir
 //	amrperf -check dir                 diff against goldens; exit 1 on drift
-//	amrperf -escape [packages]         also audit //amr:hot allocation pins
-//	                                   (compiles the packages with -gcflags=-m)
 //
 // Exit status: 0 clean, 1 golden mismatch or findings, 2 usage or
 // recording error.
@@ -24,9 +22,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"go/token"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 
@@ -38,13 +34,16 @@ func main() {
 	outDir := flag.String("o", "", "write one file per profile into this directory")
 	checkDir := flag.String("check", "", "compare text profiles against goldens in this directory")
 	updateDir := flag.String("update", "", "write text profiles as goldens into this directory")
-	escape := flag.Bool("escape", false, "audit //amr:hot allocation budgets of the packages against the compiler's escape analysis")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: amrperf [-format text|json] [-escape] [-o dir | -check dir | -update dir] [packages]\n\npackages, for -escape, are directories or dir/... trees (default ./...)\n\n")
+			"usage: amrperf [-format text|json] [-o dir | -check dir | -update dir]\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
+	if flag.NArg() > 0 {
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	ext := map[string]string{"text": ".txt", "json": ".json"}[*format]
 	if ext == "" {
@@ -68,22 +67,6 @@ func main() {
 			p := analysis.ProfileGraph(g, w)
 			p.Name = analysis.ProfileName(g.Driver, w, len(r.Profiles) > 1)
 			profiles = append(profiles, p)
-		}
-	}
-
-	if *escape {
-		patterns := flag.Args()
-		if len(patterns) == 0 {
-			patterns = []string{"./..."}
-		}
-		fset := token.NewFileSet()
-		pkgs, err := analysis.Load(fset, patterns, false)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if !runEscapeAudit(pkgs, patterns) {
-			status = 1
 		}
 	}
 
@@ -133,34 +116,6 @@ func main() {
 		fmt.Println("wrote", path)
 	}
 	os.Exit(status)
-}
-
-// runEscapeAudit checks every //amr:hot budget in the loaded packages
-// against the compiler's proved escape sites. It reports true when all
-// pins hold.
-func runEscapeAudit(pkgs []*analysis.Package, patterns []string) bool {
-	hots, malformed := analysis.CollectHotFuncs(pkgs)
-	for _, f := range malformed {
-		fmt.Fprintln(os.Stderr, f)
-	}
-	ok := len(malformed) == 0
-	if len(hots) == 0 {
-		return ok
-	}
-	args := append([]string{"build", "-gcflags=-m"}, patterns...)
-	cmd := exec.Command("go", args...)
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "amrperf: go build -gcflags=-m: %v\n%s", err, out)
-		return false
-	}
-	for _, f := range analysis.CheckEscapes(hots, analysis.ParseEscapes(string(out))) {
-		fmt.Fprintln(os.Stderr, f)
-		if f.Severity == "error" {
-			ok = false
-		}
-	}
-	return ok
 }
 
 func render(p *analysis.Profile, format string) string {

@@ -1,0 +1,5 @@
+//go:build race
+
+package allocguard
+
+const raceEnabled = true

@@ -1,6 +1,10 @@
 package app
 
-import "testing"
+import (
+	"testing"
+
+	"miniamr/internal/allocguard"
+)
 
 // ghostExchangeAllocBaseline is the pooled message path's steady-state
 // allocation budget for one full ghost exchange, established when the
@@ -78,4 +82,20 @@ func TestDataFlowAllocsDoNotGrowWithBlocks(t *testing.T) {
 		t.Errorf("data-flow stage allocs/op = %d on 256 blocks, %d on 32: they grow with the blocks",
 			large, small)
 	}
+}
+
+// TestAllocBudgets is the data-flow driver's allocation table: one drained
+// round of its steady-state stages (Communicate, with its fill tasks,
+// Compute and Checksum) on two ranks. Task bodies are recycled job
+// records, so what is left is the tampi layer's per message (a boxed
+// receive buffer and the bound requests, which are never freed) and the
+// free lists' occasional high water. TestDataFlowAllocsDoNotGrowWithBlocks
+// guards that the count does not grow with the blocks, and
+// TestGhostExchangeAllocBaseline the loop driver's exchange.
+func TestAllocBudgets(t *testing.T) {
+	round, stop := dataFlowRounds(t, testConfig(), 2)
+	defer stop()
+	allocguard.Check(t, []allocguard.Row{
+		{"data-flow round, 32 blocks", 15, round},
+	})
 }

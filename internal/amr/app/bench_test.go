@@ -84,21 +84,40 @@ func TestArenaLeakFree(t *testing.T) {
 func BenchmarkDataFlowStages(b *testing.B) { benchDataFlowStages(b, testConfig(), 2) }
 
 // benchDataFlowStages is the benchmark body, shared with the allocation
-// guard in alloc_guard_test.go: b.N drained rounds of Communicate, Compute
-// and Checksum by the data-flow driver on the configuration's unrefined root
-// mesh, counted after warm-up rounds that fill the free lists of the task
-// records, job records and bindings.
+// guards in alloc_guard_test.go: b.N drained rounds of the data-flow
+// driver's steady-state stages (see dataFlowRounds).
 func benchDataFlowStages(b *testing.B, cfg Config, ranks int) {
 	b.ReportAllocs()
+	round, stop := dataFlowRounds(b, cfg, ranks)
+	defer stop()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+	b.StopTimer()
+}
+
+// dataFlowRounds runs the data-flow driver on every rank of a world over
+// the configuration's unrefined root mesh and returns round, which has each
+// rank run one drained round of Communicate, Compute and Checksum and waits
+// for all of them, and stop, which ends the run. The first rounds fill the
+// free lists of the task records, job records and bindings before it
+// returns. round hands the ranks over by channel, which allocates nothing.
+func dataFlowRounds(tb testing.TB, cfg Config, ranks int) (round, stop func()) {
 	w := mpi.NewWorld(cluster.MustNew(1, ranks, 1), simnet.None())
-	done := make(chan error, 1)
+	start := make([]chan struct{}, ranks)
+	for i := range start {
+		start[i] = make(chan struct{})
+	}
+	done := make(chan struct{}, ranks)
+	errc := make(chan error, 1)
 	go func() {
-		done <- w.Run(func(c *mpi.Comm) {
+		errc <- w.Run(func(c *mpi.Comm) {
 			d, err := newDataFlowDriver(&cfg, c, nil)
 			if err != nil {
 				panic(err)
 			}
-			round := func() {
+			for range start[c.Rank()] {
 				if err := d.Communicate(1, 0, cfg.CommVars); err != nil {
 					panic(err)
 				}
@@ -109,34 +128,29 @@ func benchDataFlowStages(b *testing.B, cfg Config, ranks int) {
 					panic(err)
 				}
 				d.g.Wait()
+				done <- struct{}{}
 			}
-			for i := 0; i < 5; i++ {
-				round()
-			}
-			timed(c, b.ResetTimer)
-			for i := 0; i < b.N; i++ {
-				round()
-			}
-			timed(c, b.StopTimer)
 			d.g.Close()
 			d.s.close()
 		})
 	}()
-	if err := <-done; err != nil {
-		b.Fatal(err)
+	round = func() {
+		for _, s := range start {
+			s <- struct{}{}
+		}
+		for range start {
+			<-done
+		}
 	}
-}
-
-// timed runs a timer call of the benchmark on rank 0 while every rank waits
-// between two barriers, so no rank's work straddles it.
-func timed(c *mpi.Comm, call func()) {
-	if err := c.Barrier(); err != nil {
-		panic(err)
+	for i := 0; i < 5; i++ {
+		round()
 	}
-	if c.Rank() == 0 {
-		call()
-	}
-	if err := c.Barrier(); err != nil {
-		panic(err)
+	return round, func() {
+		for _, s := range start {
+			close(s)
+		}
+		if err := <-errc; err != nil {
+			tb.Fatal(err)
+		}
 	}
 }

@@ -124,8 +124,6 @@ type args struct {
 // checksum. A block is two regions, because its two parts have different
 // writers: the stencil writes the interior, the ghost exchange the halo.
 // Block state persists across timesteps.
-//
-//amr:hot allocs=0
 func (d *dataFlowDriver) interior(i, gi int) task.Region {
 	return d.interiors + task.Region(i*d.groups+gi)
 }
@@ -133,8 +131,6 @@ func (d *dataFlowDriver) interior(i, gi int) task.Region {
 // halo is the halo of the same range, all six faces: filled by the block's
 // fill task and its unpack tasks, consumed (and for the 27-point kernel
 // completed with edges and corners) by stencil.
-//
-//amr:hot allocs=0
 func (d *dataFlowDriver) halo(i, gi int) task.Region {
 	return d.halos + task.Region(i*d.groups+gi)
 }
@@ -144,23 +140,17 @@ func (d *dataFlowDriver) halo(i, gi int) task.Region {
 // three directions' messages of one peer and message index share their
 // sections' regions (reproducing the false dependencies that
 // --separate_buffers removes).
-//
-//amr:hot allocs=0
 func section(pl *commPlan, idx int) task.Region { return pl.sec + task.Region(idx) }
 
 // slot is owned block i's checksum accumulator slot; parity alternates
 // between consecutive checksum stages for the delayed validation (class
 // matching: the delayed flush reads the other parity).
-//
-//amr:hot allocs=0
 func (d *dataFlowDriver) slot(parity, i int) task.Region {
 	return d.slotRegs + task.Region(parity*len(d.blocks)+i)
 }
 
 // xfer orders the pack->send and recv->unpack pairs of the refinement block
 // exchange, by the move's data tag.
-//
-//amr:hot allocs=0
 func (d *dataFlowDriver) xfer(tag int, recv bool) task.Region {
 	r := d.xfers + task.Region(2*(tag-exchangeData))
 	if recv {
@@ -251,10 +241,6 @@ func (d *dataFlowDriver) describe(r task.Region) string {
 // face and send tasks per message with multidependencies on the packed
 // sections; then one fill task per block for everything that stays within
 // the rank; then the unpack tasks fed by the receives' buffer sections.
-// The pin counts two sites of inlined callees that a run with the sanitizer
-// off never reaches: BindSection's and a lease's panic message.
-//
-//amr:hot allocs=2
 func (d *dataFlowDriver) Communicate(_, g0, g1 int) error {
 	s := d.s
 	gv := g1 - g0
@@ -363,8 +349,6 @@ func (d *dataFlowDriver) unpack(t *task.Task, a *args) {
 // gives the same bits. A fill reads the interiors of its sources and
 // writes the destination's halo; it keeps the label of the per-face copy
 // tasks it replaces, which is what traces and the benchmark fold it under.
-//
-//amr:hot allocs=0
 func (d *dataFlowDriver) fillGhosts(g0, g1 int) {
 	fp := &d.fill
 	gi := d.groupIndex(g0)
@@ -417,8 +401,6 @@ func (d *dataFlowDriver) fillBlock(t *task.Task, a *args) {
 // fills, packs and unpacks follow it. The halo is in-out although the
 // 7-point kernel only reads it: the 27-point one first completes it with
 // edges and corners.
-//
-//amr:hot allocs=0
 func (d *dataFlowDriver) Compute(_, g0, g1 int) error {
 	s := d.s
 	gi := d.groupIndex(g0)
@@ -446,10 +428,7 @@ func (d *dataFlowDriver) stencil(t *task.Task, a *args) {
 
 // Checksum spawns local-reduction tasks into the current parity's slots
 // and validates either this stage (default) or the previous one
-// (DelayedChecksum), so the barrier does not drain in-flight stages. The
-// pin is slices.Grow's panic message.
-//
-//amr:hot allocs=1
+// (DelayedChecksum), so the barrier does not drain in-flight stages.
 func (d *dataFlowDriver) Checksum(int) error {
 	s := d.s
 	par := d.parity

@@ -53,8 +53,6 @@ func copyRect(dst, src rect, nu, nw int) {
 // PackFace copies the boundary face of the variable group [v0, v1) into
 // buf for a same-level exchange and returns the number of values written.
 // buf must hold at least FaceLen(dir, v0, v1) values.
-//
-//amr:hot allocs=0
 func (d *Data) PackFace(dir Dir, side Side, v0, v1 int, buf []float64) int {
 	d.checkGroup(v0, v1)
 	u, w := d.faceDims(dir)
@@ -69,8 +67,6 @@ func (d *Data) PackFace(dir Dir, side Side, v0, v1 int, buf []float64) int {
 
 // UnpackFace copies a same-level face from buf into the ghost plane of the
 // given side and returns the number of values consumed.
-//
-//amr:hot allocs=0
 func (d *Data) UnpackFace(dir Dir, side Side, v0, v1 int, buf []float64) int {
 	d.checkGroup(v0, v1)
 	u, w := d.faceDims(dir)
@@ -87,8 +83,6 @@ func (d *Data) UnpackFace(dir Dir, side Side, v0, v1 int, buf []float64) int {
 // block's boundary face on srcSide directly into dst's opposite ghost
 // plane, without an intermediate buffer. Both blocks must have identical
 // shape.
-//
-//amr:hot allocs=0
 func (d *Data) CopyFaceTo(dst *Data, dir Dir, srcSide Side, v0, v1 int) {
 	d.checkShape(dst)
 	d.checkGroup(v0, v1)
@@ -103,8 +97,6 @@ func (d *Data) CopyFaceTo(dst *Data, dir Dir, srcSide Side, v0, v1 int) {
 // PackFaceRestrict packs this (fine) block's boundary face restricted for a
 // coarser neighbour: each 2x2 group of fine face cells is averaged into one
 // value. The result has QuarterFaceLen values.
-//
-//amr:hot allocs=0
 func (d *Data) PackFaceRestrict(dir Dir, side Side, v0, v1 int, buf []float64) int {
 	d.checkGroup(v0, v1)
 	u, w := d.faceDims(dir)
@@ -129,8 +121,6 @@ func (d *Data) PackFaceRestrict(dir Dir, side Side, v0, v1 int, buf []float64) i
 // UnpackFaceQuarter stores a restricted face received from a finer
 // neighbour into the (qu, qw) quarter of this (coarse) block's ghost plane.
 // qu and qw select the half along each in-plane dimension (0 or 1).
-//
-//amr:hot allocs=0
 func (d *Data) UnpackFaceQuarter(dir Dir, side Side, qu, qw, v0, v1 int, buf []float64) int {
 	d.checkGroup(v0, v1)
 	checkQuadrant(qu, qw)
@@ -147,8 +137,6 @@ func (d *Data) UnpackFaceQuarter(dir Dir, side Side, qu, qw, v0, v1 int, buf []f
 
 // PackFaceQuarter packs the (qu, qw) quarter of this (coarse) block's
 // boundary face for a finer neighbour covering that quarter.
-//
-//amr:hot allocs=0
 func (d *Data) PackFaceQuarter(dir Dir, side Side, qu, qw, v0, v1 int, buf []float64) int {
 	d.checkGroup(v0, v1)
 	checkQuadrant(qu, qw)
@@ -167,8 +155,6 @@ func (d *Data) PackFaceQuarter(dir Dir, side Side, qu, qw, v0, v1 int, buf []flo
 // neighbour into this (fine) block's ghost plane, replicating each coarse
 // value onto the 2x2 fine ghost cells it covers (piecewise-constant
 // prolongation).
-//
-//amr:hot allocs=0
 func (d *Data) UnpackFaceProlong(dir Dir, side Side, v0, v1 int, buf []float64) int {
 	d.checkGroup(v0, v1)
 	u, w := d.faceDims(dir)
@@ -196,8 +182,6 @@ func (d *Data) UnpackFaceProlong(dir Dir, side Side, v0, v1 int, buf []float64) 
 // ApplyDomainBoundary fills the ghost plane of a face that has no
 // neighbour (a domain boundary) with a zero-gradient condition: each ghost
 // cell copies the adjacent interior cell.
-//
-//amr:hot allocs=0
 func (d *Data) ApplyDomainBoundary(dir Dir, side Side, v0, v1 int) {
 	d.checkGroup(v0, v1)
 	u, w := d.faceDims(dir)
@@ -235,9 +219,9 @@ func (d *Data) checkShape(o *Data) {
 	}
 }
 
-// fail panics with a grid: message. The checks above inline into kernels
-// pinned //amr:hot allocs=0, so fail takes ints, not interfaces, and stays
-// out of line: the values are boxed here, not in every kernel.
+// fail panics with a grid: message. The checks above inline into the
+// kernels, so fail takes ints, not interfaces, and stays out of line: the
+// values are boxed here, on the panic path, not in every kernel's frame.
 //
 //go:noinline
 func fail(format string, args ...int) {

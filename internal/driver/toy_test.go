@@ -367,6 +367,7 @@ func (j toyJob) Bind(v driver.Variant, workers int, _ *sanitize.Sanitizer) (driv
 		}
 		var h driver.Hooks
 		var cleanup func()
+		workers := workers // every rank's goroutine runs this closure
 		switch v {
 		case driver.MPIOnly, driver.ForkJoin:
 			if v == driver.MPIOnly {

@@ -3,6 +3,7 @@ package hydro
 import (
 	"testing"
 
+	"miniamr/internal/allocguard"
 	"miniamr/internal/cluster"
 	"miniamr/internal/driver"
 	"miniamr/internal/mpi"
@@ -14,18 +15,39 @@ import (
 // with their ghost exchanges, and a checksum.
 func BenchmarkDataFlowStep(b *testing.B) { benchDataFlowStep(b, testConfig(), 2) }
 
-// benchDataFlowStep is the benchmark body, shared with the allocation guard:
-// b.N drained timesteps, counted after warm-up steps that fill the free
-// lists of the task records, job records and bindings.
+// benchDataFlowStep is the benchmark body, shared with the allocation
+// guards: b.N drained timesteps (see dataFlowSteps).
 func benchDataFlowStep(b *testing.B, cfg Config, ranks int) {
 	b.ReportAllocs()
+	step, stop := dataFlowSteps(b, cfg, ranks)
+	defer stop()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+	b.StopTimer()
+}
+
+// dataFlowSteps runs the data-flow driver on every rank of a world and
+// returns step, which has each rank run one drained timestep (the CFL scan
+// and reduction, both sweep stages with their ghost exchanges, and a
+// checksum) and waits for all of them, and stop, which ends the run. The
+// first steps fill the free lists of the task records, job records and
+// bindings before it returns. step hands the ranks over by channel, which
+// allocates nothing.
+func dataFlowSteps(tb testing.TB, cfg Config, ranks int) (step, stop func()) {
 	if err := cfg.Validate(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	w := mpi.NewWorld(cluster.MustNew(1, ranks, 1), simnet.None())
-	done := make(chan error, 1)
+	start := make([]chan struct{}, ranks)
+	for i := range start {
+		start[i] = make(chan struct{})
+	}
+	done := make(chan struct{}, ranks)
+	errc := make(chan error, 1)
 	go func() {
-		done <- w.Run(func(c *mpi.Comm) {
+		errc <- w.Run(func(c *mpi.Comm) {
 			d := &dfDriver{s: newState(&cfg, c, nil)}
 			g, err := driver.NewGraphEngine(driver.GraphOptions{
 				Comm: c, Workers: cfg.Workers, ScratchLen: scratchLen(&cfg), Describe: d.describe,
@@ -34,7 +56,9 @@ func benchDataFlowStep(b *testing.B, cfg Config, ranks int) {
 				panic(err)
 			}
 			d.reserve(g)
-			step := func(ts int) {
+			ts := 0
+			for range start[c.Rank()] {
+				ts++
 				must(d.BeginStep(ts))
 				for st := 1; st <= 2; st++ {
 					must(d.Communicate(st, 0, hydroVars))
@@ -42,21 +66,30 @@ func benchDataFlowStep(b *testing.B, cfg Config, ranks int) {
 				}
 				must(d.Checksum(ts))
 				g.Wait()
+				done <- struct{}{}
 			}
-			for i := 0; i < 5; i++ {
-				step(i + 1)
-			}
-			timed(c, b.ResetTimer)
-			for i := 0; i < b.N; i++ {
-				step(i + 6)
-			}
-			timed(c, b.StopTimer)
 			g.Close()
 			d.s.close()
 		})
 	}()
-	if err := <-done; err != nil {
-		b.Fatal(err)
+	step = func() {
+		for _, s := range start {
+			s <- struct{}{}
+		}
+		for range start {
+			<-done
+		}
+	}
+	for i := 0; i < 5; i++ {
+		step()
+	}
+	return step, func() {
+		for _, s := range start {
+			close(s)
+		}
+		if err := <-errc; err != nil {
+			tb.Fatal(err)
+		}
 	}
 }
 
@@ -66,14 +99,19 @@ func must(err error) {
 	}
 }
 
-// timed runs a timer call of the benchmark on rank 0 while every rank waits
-// between two barriers, so no rank's work straddles it.
-func timed(c *mpi.Comm, call func()) {
-	must(c.Barrier())
-	if c.Rank() == 0 {
-		call()
-	}
-	must(c.Barrier())
+// TestAllocBudgets is the data-flow driver's allocation table: one drained
+// timestep on two ranks. Task bodies are recycled job records, so what is
+// left is the tampi layer's per message (a boxed receive buffer and the
+// bound requests, which are never freed), the CFL reduction's and the
+// checksum's collectives, and the free lists' occasional high water.
+// TestDataFlowAllocsDoNotGrowWithTiles guards that the count does not grow
+// with the tiles.
+func TestAllocBudgets(t *testing.T) {
+	step, stop := dataFlowSteps(t, testConfig(), 2)
+	defer stop()
+	allocguard.Check(t, []allocguard.Row{
+		{"data-flow timestep, 16 tiles", 25, step},
+	})
 }
 
 // TestDataFlowAllocsDoNotGrowWithTiles guards HYDRO's data-flow spawn path:

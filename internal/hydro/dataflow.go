@@ -100,16 +100,12 @@ const (
 
 // tile is tile t's region in table k; a rank's tiles are a contiguous range
 // of ids.
-//
-//amr:hot allocs=0
 func (d *dfDriver) tile(k, t int) task.Region {
 	return d.tiles + task.Region(k*len(d.s.tiles)+t-d.s.tiles[0])
 }
 
 // section is segment idx's section of the buffer of message pl. Sections
 // are per-stage: produced, consumed once, recycled.
-//
-//amr:hot allocs=0
 func section(pl *driver.Plan[seg], idx int) task.Region { return pl.Sec + task.Region(idx) }
 
 // describe names a region in words for the sanitizer's reports.
@@ -135,8 +131,6 @@ func (d *dfDriver) describe(r task.Region) string {
 // slots and the global max on the main goroutine. The taskwait
 // transitively drains every tile writer of the previous stage, so the
 // following s.dt update never races a sweep.
-//
-//amr:hot allocs=0
 func (d *dfDriver) BeginStep(ts int) error {
 	s := d.s
 	waves := d.regs[:0]
@@ -174,11 +168,7 @@ func (d *dfDriver) scan(tk *task.Task, a *args) {
 // Communicate taskifies the ghost exchange: a receive task per message
 // binding the request, pack tasks per segment, send tasks with
 // multidependencies on the packed sections, local copy tasks, and unpack
-// tasks fed by the receive's buffer sections. The pin counts two sites of
-// inlined callees that a run with the sanitizer off never reaches:
-// BindSection's and a lease's panic message.
-//
-//amr:hot allocs=2
+// tasks fed by the receive's buffer sections.
 func (d *dfDriver) Communicate(stage, g0, g1 int) error {
 	s := d.s
 	dir := stage - 1
@@ -286,8 +276,6 @@ func (d *dfDriver) copyEdge(t *task.Task, a *args) {
 // updates only interior cells, so it is in on the halo and in-out on the
 // interior: it follows the ghost fills, and the next stage's fills of the
 // same halo wait only for it to have read them.
-//
-//amr:hot allocs=0
 func (d *dfDriver) Compute(stage, g0, g1 int) error {
 	s := d.s
 	dir := stage - 1
@@ -312,8 +300,6 @@ func (d *dfDriver) sweep(tk *task.Task, a *args) {
 // Checksum spawns per-tile reduction tasks into sum slots, closes them
 // with a taskwait with dependencies, and validates the global reduction
 // on the main goroutine.
-//
-//amr:hot allocs=0
 func (d *dfDriver) Checksum(int) error {
 	s := d.s
 	sums := d.regs[:0]

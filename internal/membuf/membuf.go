@@ -57,7 +57,6 @@ type pool[T any] struct {
 	pooled map[*T]struct{}
 }
 
-//amr:hot allocs=4
 func (p *pool[T]) get(a *Arena, n int) []T {
 	a.gets.Add(1)
 	if n < 0 {
@@ -85,7 +84,6 @@ func (p *pool[T]) get(a *Arena, n int) []T {
 	return make([]T, n)
 }
 
-//amr:hot allocs=0
 func (p *pool[T]) put(a *Arena, b []T) {
 	a.puts.Add(1)
 	p.putQuiet(b)

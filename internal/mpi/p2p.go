@@ -91,8 +91,6 @@ func newMailbox() *mailbox { return &mailbox{mu: newChanMutex()} }
 
 // deliver makes a message visible at this mailbox, completing the oldest
 // matching posted receive if one exists.
-//
-//amr:hot allocs=0
 func (b *mailbox) deliver(msg *message) {
 	if b.mon != nil {
 		b.mon.MessageDelivered(msg.src, b.rank, msg.tag)
@@ -112,8 +110,6 @@ func (b *mailbox) deliver(msg *message) {
 
 // post registers a receive, completing it immediately against the oldest
 // matching unexpected message if one exists.
-//
-//amr:hot allocs=0
 func (b *mailbox) post(pr *postedRecv) {
 	if b.mon != nil {
 		b.mon.RecvPosted(b.rank, pr.src, pr.tag)
@@ -133,8 +129,6 @@ func (b *mailbox) post(pr *postedRecv) {
 
 // completeRecv copies the payload out, returns it to the arena, recycles
 // the transport records, and signals the receiver.
-//
-//amr:hot allocs=0
 func (b *mailbox) completeRecv(pr *postedRecv, msg *message) {
 	if b.mon != nil {
 		b.mon.MessageMatched(b.rank, msg.src, msg.tag, pr.src, pr.tag)
@@ -178,8 +172,6 @@ func (c *Comm) delayFor(dest, bytes int) time.Duration {
 // model and completing req (if non-nil) once the message is delivered to
 // the destination's matching engine. Callers must have validated dest and
 // tag. Ownership of pay passes to the transport here.
-//
-//amr:hot allocs=1
 func (c *Comm) dispatch(pay *membuf.Lease, dest, tag, count int, req *Request) {
 	if c.rel != nil {
 		// Chaos enabled: route through the resilient sequence-numbered
@@ -266,8 +258,6 @@ func (c *Comm) wireSend(pay *membuf.Lease, dest, tag, seq int, reliable bool) {
 // reuse it as soon as Isend returns. The returned request completes when
 // the message has been delivered to the destination's matching engine
 // (i.e. after its simulated transfer time).
-//
-//amr:hot allocs=2
 func (c *Comm) Isend(buf any, dest, tag int) (*Request, error) {
 	if tag < 0 || tag >= MaxUserTag {
 		return nil, fmt.Errorf("mpi: send tag %d out of range [0,%d)", tag, MaxUserTag)
@@ -277,8 +267,6 @@ func (c *Comm) Isend(buf any, dest, tag int) (*Request, error) {
 
 // isend is Isend without the user-tag restriction; collectives use the
 // reserved space above MaxUserTag.
-//
-//amr:hot allocs=2
 func (c *Comm) isend(buf any, dest, tag int) (*Request, error) {
 	if dest < 0 || dest >= c.Size() {
 		return nil, fmt.Errorf("mpi: send destination %d out of range [0,%d)", dest, c.Size())
@@ -296,8 +284,6 @@ func (c *Comm) isend(buf any, dest, tag int) (*Request, error) {
 // takes the lease, and the receiving side returns the buffer to the arena
 // after copying it out. The caller must not touch the lease or its buffer
 // after a successful call. On error the caller retains ownership.
-//
-//amr:hot allocs=4
 func (c *Comm) IsendOwned(pay *membuf.Lease, dest, tag int) (*Request, error) {
 	if tag < 0 || tag >= MaxUserTag {
 		return nil, fmt.Errorf("mpi: send tag %d out of range [0,%d)", tag, MaxUserTag)
@@ -313,8 +299,6 @@ func (c *Comm) IsendOwned(pay *membuf.Lease, dest, tag int) (*Request, error) {
 // SendOwned is the blocking form of IsendOwned: it returns once the
 // message has been delivered to the destination's matching engine. On
 // error the caller retains ownership of the lease.
-//
-//amr:hot allocs=4
 func (c *Comm) SendOwned(pay *membuf.Lease, dest, tag int) error {
 	if tag < 0 || tag >= MaxUserTag {
 		return fmt.Errorf("mpi: send tag %d out of range [0,%d)", tag, MaxUserTag)
@@ -337,8 +321,6 @@ func (c *Comm) SendOwned(pay *membuf.Lease, dest, tag int) error {
 // (or AnySource) with the given tag (or AnyTag). The request completes when
 // a matching message has been copied into buf; Status.Count holds the
 // number of elements received.
-//
-//amr:hot allocs=2
 func (c *Comm) Irecv(buf any, source, tag int) (*Request, error) {
 	if tag != AnyTag && (tag < 0 || tag >= MaxUserTag) {
 		return nil, fmt.Errorf("mpi: receive tag %d out of range [0,%d)", tag, MaxUserTag)
@@ -346,7 +328,6 @@ func (c *Comm) Irecv(buf any, source, tag int) (*Request, error) {
 	return c.irecv(buf, source, tag)
 }
 
-//amr:hot allocs=2
 func (c *Comm) irecv(buf any, source, tag int) (*Request, error) {
 	if source != AnySource && (source < 0 || source >= c.Size()) {
 		return nil, fmt.Errorf("mpi: receive source %d out of range [0,%d)", source, c.Size())
@@ -366,8 +347,6 @@ func (c *Comm) irecv(buf any, source, tag int) (*Request, error) {
 // Send is the blocking form of Isend. When the transfer is free under the
 // network model it runs allocation-free: the payload clone comes from the
 // arena and no Request is created.
-//
-//amr:hot allocs=2
 func (c *Comm) Send(buf any, dest, tag int) error {
 	if tag < 0 || tag >= MaxUserTag {
 		return fmt.Errorf("mpi: send tag %d out of range [0,%d)", tag, MaxUserTag)
@@ -377,8 +356,6 @@ func (c *Comm) Send(buf any, dest, tag int) error {
 
 // Recv is the blocking form of Irecv. It parks on a pooled waiter instead
 // of allocating a Request.
-//
-//amr:hot allocs=2
 func (c *Comm) Recv(buf any, source, tag int) (Status, error) {
 	if tag != AnyTag && (tag < 0 || tag >= MaxUserTag) {
 		return Status{}, fmt.Errorf("mpi: receive tag %d out of range [0,%d)", tag, MaxUserTag)
@@ -409,8 +386,6 @@ func (c *Comm) Iprobe(source, tag int) (bool, Status, error) {
 }
 
 // send is Send without the user-tag restriction.
-//
-//amr:hot allocs=2
 func (c *Comm) send(buf any, dest, tag int) error {
 	if dest < 0 || dest >= c.Size() {
 		return fmt.Errorf("mpi: send destination %d out of range [0,%d)", dest, c.Size())
@@ -431,8 +406,6 @@ func (c *Comm) send(buf any, dest, tag int) error {
 }
 
 // recv is Recv without the user-tag restriction.
-//
-//amr:hot allocs=3
 func (c *Comm) recv(buf any, source, tag int) (Status, error) {
 	if source != AnySource && (source < 0 || source >= c.Size()) {
 		return Status{}, fmt.Errorf("mpi: receive source %d out of range [0,%d)", source, c.Size())

@@ -52,8 +52,6 @@ func (r *Request) complete(st Status, err error) { r.settle(st, err, false) }
 // waiting on it, in this order: Done/Wait, the OnComplete callbacks, the
 // bound Completion, the owning waitset. On a request that is already done
 // a genuine completion panics and an abort does nothing.
-//
-//amr:hot allocs=1
 func (r *Request) settle(st Status, err error, abort bool) {
 	r.mu.Lock()
 	if r.done {
@@ -87,8 +85,6 @@ func (r *Request) settle(st Status, err error, abort bool) {
 
 // Wait blocks until the operation completes and returns its status. The
 // completed-request fast path takes no channel and performs no allocation.
-//
-//amr:hot allocs=1
 func (r *Request) Wait() (Status, error) {
 	r.mu.Lock()
 	if r.done {
@@ -182,8 +178,6 @@ func (r *Request) Bind(c Completion) {
 // completion has been observed and that no other goroutine still holds the
 // request; any channel obtained from Done stays valid (and closed). Using
 // the request after Free corrupts whichever operation reuses it.
-//
-//amr:hot allocs=1
 func (r *Request) Free() {
 	r.mu.Lock()
 	if !r.done {
@@ -203,8 +197,6 @@ func (r *Request) Free() {
 
 // Waitall blocks until every request completes and returns the first error
 // encountered (in slice order), if any.
-//
-//amr:hot allocs=0
 func Waitall(reqs []*Request) error {
 	var firstErr error
 	for _, r := range reqs {
@@ -279,8 +271,6 @@ func (ws *WaitSet) Len() int { return len(ws.reqs) }
 // Add attaches a request to the set and returns its index (the add order,
 // restarting at 0 after Reset). Already-completed requests are accepted and
 // become immediately available to Next.
-//
-//amr:hot allocs=1
 func (ws *WaitSet) Add(r *Request) int {
 	idx := len(ws.reqs)
 	ws.reqs = append(ws.reqs, r)
@@ -311,8 +301,6 @@ func (ws *WaitSet) deliver(idx int) {
 // returns its index and outcome. Each index is returned exactly once;
 // calling Next more times than Len since the last Reset blocks forever.
 // The request itself is recycled before Next returns.
-//
-//amr:hot allocs=0
 func (ws *WaitSet) Next() (int, Status, error) {
 	ws.mu.Lock()
 	for len(ws.ready) == 0 {

@@ -108,10 +108,7 @@ func (b *binding) RequestDone(err error) {
 
 // Iwait binds the completion of the given requests to t: t will not
 // release its dependencies until all of them complete. It never blocks.
-// Corresponds to TAMPI_Iwait/TAMPI_Iwaitall. The pin is AddEvents' panic
-// message.
-//
-//amr:hot allocs=1
+// Corresponds to TAMPI_Iwait/TAMPI_Iwaitall.
 func (x *Context) Iwait(t *task.Task, reqs ...*mpi.Request) {
 	live := 0 // a null request is complete
 	for _, r := range reqs {
@@ -133,8 +130,6 @@ func (x *Context) Iwait(t *task.Task, reqs ...*mpi.Request) {
 
 // binding takes a binding for n requests of t from the free list, or makes
 // one.
-//
-//amr:hot allocs=1
 func (x *Context) binding(t *task.Task, n int) *binding {
 	x.mu.Lock()
 	var b *binding
@@ -154,8 +149,6 @@ func (x *Context) binding(t *task.Task, n int) *binding {
 // send buffer is copied eagerly by the MPI layer, so the caller may reuse
 // it; the binding still delays dependency release until the message is on
 // the wire, preserving TAMPI's completion semantics.
-//
-//amr:hot allocs=0
 func (x *Context) Isend(t *task.Task, buf any, dest, tag int) error {
 	req, err := x.comm.Isend(buf, dest, tag)
 	return x.bind(t, req, err)
@@ -165,8 +158,6 @@ func (x *Context) Isend(t *task.Task, buf any, dest, tag int) error {
 // t: the lease passes to the MPI layer without a copy, and the receiving
 // side returns the buffer to the arena. The caller must not touch the
 // lease after a successful call; on error it retains ownership.
-//
-//amr:hot allocs=0
 func (x *Context) IsendOwned(t *task.Task, pay *membuf.Lease, dest, tag int) error {
 	req, err := x.comm.IsendOwned(pay, dest, tag)
 	return x.bind(t, req, err)
@@ -175,8 +166,6 @@ func (x *Context) IsendOwned(t *task.Task, pay *membuf.Lease, dest, tag int) err
 // SendOwned performs a blocking ownership-transfer send from inside a
 // task: the task pauses until the message has been delivered, releasing
 // its core meanwhile. Lease ownership follows IsendOwned's rules.
-//
-//amr:hot allocs=0
 func (x *Context) SendOwned(t *task.Task, pay *membuf.Lease, dest, tag int) error {
 	req, err := x.comm.IsendOwned(pay, dest, tag)
 	_, err = x.await(t, req, err, "tampi.SendOwned", dest, tag)
@@ -186,8 +175,6 @@ func (x *Context) SendOwned(t *task.Task, pay *membuf.Lease, dest, tag int) erro
 // Irecv starts a non-blocking receive into buf and binds it to t
 // (TAMPI_Irecv). The buffer must not be consumed inside the task: it is
 // valid only for successor tasks that depend on the task's out-access.
-//
-//amr:hot allocs=0
 func (x *Context) Irecv(t *task.Task, buf any, source, tag int) error {
 	req, err := x.comm.Irecv(buf, source, tag)
 	return x.bind(t, req, err)
@@ -195,8 +182,6 @@ func (x *Context) Irecv(t *task.Task, buf any, source, tag int) error {
 
 // Send performs a blocking send from inside a task: the task pauses until
 // the message has been delivered, releasing its core meanwhile.
-//
-//amr:hot allocs=0
 func (x *Context) Send(t *task.Task, buf any, dest, tag int) error {
 	req, err := x.comm.Isend(buf, dest, tag)
 	_, err = x.await(t, req, err, "tampi.Send", dest, tag)
@@ -206,8 +191,6 @@ func (x *Context) Send(t *task.Task, buf any, dest, tag int) error {
 // Recv performs a blocking receive from inside a task: the task pauses
 // until a matching message has been copied into buf, releasing its core
 // meanwhile.
-//
-//amr:hot allocs=0
 func (x *Context) Recv(t *task.Task, buf any, source, tag int) (mpi.Status, error) {
 	req, err := x.comm.Irecv(buf, source, tag)
 	return x.await(t, req, err, "tampi.Recv", source, tag)

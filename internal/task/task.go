@@ -291,11 +291,7 @@ func (rt *Runtime) unreserved(accs []Access) string {
 // accesses (not retained). The task becomes ready once all conflicting
 // predecessors have released their dependencies, and releases its own when
 // the body has returned and all bound events have completed. Spawn may park
-// the caller while the ready queue is full (see Execution above). The pin
-// counts the two panics and the task record (recycled in the steady state):
-// naming a region by handle must not add a site.
-//
-//amr:hot allocs=3
+// the caller while the ready queue is full (see Execution above).
 func (rt *Runtime) Spawn(label string, body func(t *Task), accs ...Access) {
 	rt.mu.Lock()
 	if rt.closed {
@@ -306,13 +302,7 @@ func (rt *Runtime) Spawn(label string, body func(t *Task), accs ...Access) {
 		rt.mu.Unlock()
 		panic(msg)
 	}
-	n := rt.free
-	if n == nil {
-		n = new(Task)
-		n.succs = n.inline[:0]
-	} else {
-		rt.free = n.next
-	}
+	n := rt.record()
 	rt.spawned++
 	rt.live++
 	*n = Task{rt: rt, body: body, id: uint64(rt.spawned), succs: n.succs}
@@ -376,6 +366,19 @@ func (rt *Runtime) addEdge(pred, succ *Task) {
 	}
 }
 
+// record takes a task record from the free list, or makes one. Caller
+// holds rt.mu.
+func (rt *Runtime) record() *Task {
+	n := rt.free
+	if n == nil {
+		n = new(Task)
+		n.succs = n.inline[:0]
+	} else {
+		rt.free = n.next
+	}
+	return n
+}
+
 // unref drops one region's mention of n and recycles its record once it has
 // finished and nothing names it any more. Caller holds rt.mu.
 func (rt *Runtime) unref(n *Task) {
@@ -422,12 +425,13 @@ func (rt *Runtime) quiesce(stop bool) {
 // Unlike Wait, unrelated tasks keep running and new tasks may be spawned
 // by other goroutines concurrently. It rethrows a recorded task panic.
 func (rt *Runtime) WaitAccess(accs ...Access) {
-	w := &Task{waiter: true}
 	rt.mu.Lock()
 	if msg := rt.unreserved(accs); msg != "" {
 		rt.mu.Unlock()
 		panic(msg)
 	}
+	w := rt.record()
+	*w = Task{waiter: true, succs: w.succs}
 	if rt.obs != nil {
 		rt.obs.TaskSpawned(0, "taskwait", accs)
 	}
@@ -451,6 +455,9 @@ func (rt *Runtime) WaitAccess(accs ...Access) {
 	for w.pending > 0 {
 		rt.cond.Wait()
 	}
+	// Its predecessors have dropped their edges to it: recycle the record.
+	*w = Task{succs: w.succs}
+	w.next, rt.free = rt.free, w
 	p := rt.firstPanic
 	rt.mu.Unlock()
 	if p != nil {
