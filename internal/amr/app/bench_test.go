@@ -113,6 +113,7 @@ func dataFlowRounds(tb testing.TB, cfg Config, ranks int) (round, stop func()) {
 	errc := make(chan error, 1)
 	go func() {
 		errc <- w.Run(func(c *mpi.Comm) {
+			cfg := cfg // Validate fills in defaults: a copy per rank
 			d, err := newDataFlowDriver(&cfg, c, nil)
 			if err != nil {
 				panic(err)
